@@ -60,6 +60,17 @@ class RunConfig:
     convergence_orders: list = dc_field(default_factory=lambda: [16, 24, 32])
 
 
+def _number(raw: dict, key: str, default: str, kind=float):
+    """raw[key] (or default) converted by kind; ConfigError if it is not
+    a number of that kind."""
+    text = raw.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"bad {key}: {text!r} is not {what}") from None
+
+
 def _vector(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split()], dtype=float)
@@ -163,8 +174,8 @@ def parse_config(text: str) -> RunConfig:
             "(validity window of the weighted-data solution)")
 
     rules = RuleSet(
-        radial_order=int(raw.get("quadrature.radial_order", "48")),
-        sphere_order=int(raw.get("quadrature.sphere_order", "24")))
+        radial_order=_number(raw, "quadrature.radial_order", "48", int),
+        sphere_order=_number(raw, "quadrature.sphere_order", "24", int))
 
     grid_x = []
     if "grid.x" in raw:
@@ -184,20 +195,28 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("grid.t values must be positive")
 
     verify_opts = {
-        "fd_step": float(raw.get("verify.fd_step", "1e-3")),
-        "richardson_levels": int(raw.get("verify.richardson_levels", "3")),
-        "probes": int(raw.get("verify.probes", "5")),
-        "tolerance": float(raw.get("verify.tolerance", "1e-4")),
-        "t0": float(raw.get("verify.t0", "0.1")),
+        "fd_step": _number(raw, "verify.fd_step", "1e-3"),
+        "richardson_levels": _number(raw, "verify.richardson_levels", "3", int),
+        "probes": _number(raw, "verify.probes", "5", int),
+        "tolerance": _number(raw, "verify.tolerance", "1e-4"),
+        "t0": _number(raw, "verify.t0", "0.1"),
     }
+    precision = _number(raw, "output.precision", "17", int)
+    if precision < 0:
+        raise ConfigError(f"output.precision must be >= 0, got {precision}")
+    orders = raw.get("convergence.orders", "16 24 32")
+    try:
+        convergence_orders = [int(v) for v in orders.split()]
+    except ValueError:
+        raise ConfigError(f"bad convergence.orders: {orders!r} is not a "
+                          "list of integers") from None
     return RunConfig(
         spec=spec, rules=rules, grid_x=grid_x, grid_t=grid_t,
         verify_opts=verify_opts,
         csv_path=raw.get("output.csv"),
-        precision=int(raw.get("output.precision", "17")),
-        operators_m_max=int(raw.get("operators.m_max", "3")),
-        convergence_orders=[int(v) for v in
-                            raw.get("convergence.orders", "16 24 32").split()],
+        precision=precision,
+        operators_m_max=_number(raw, "operators.m_max", "3", int),
+        convergence_orders=convergence_orders,
     )
 
 

@@ -1,22 +1,36 @@
-"""Smooth spatial data fields with analytically known iterated Laplacians,
-and the initial-data transformations feeding the solvers.
+"""Smooth spatial data fields with analytically known iterated Laplacians
+and spherical means, and the initial-data transformations feeding the
+solvers.
 
 Verification accuracy hinges on the data being analytic: every field
 family reports exact iterated Laplacians, so residual and oracle gaps
-measure the solver, not the data.  Linear combinations of (possibly
-Laplacian-shifted) fields are first-class, because the transformed data
-sets are exactly such combinations.
+measure the solver, not the data.  Every route reaches the data only
+through spherical means M(x, r) of (iterated Laplacians of) the fields,
+and every shipped family has them in closed form (``sphere_mean``):
+
+  * Laplacian eigenfields: M = f(x) jbar(nu, sqrt(-eigenvalue) r);
+  * polynomials: Pizzetti's finite series
+        M = sum_j r^{2j} Laplacian^j f(x) / (2^j j! n(n+2)...(n+2j-2));
+  * Gaussians: an I_nu closed form and its width derivatives,
+
+with nu = (n-2)/2 (F. John, *Plane Waves and Spherical Means*, 1955).
+Each closed form reads the data at the centre through the field's own
+``eval``.  Linear combinations of (possibly Laplacian-shifted) fields
+are first-class, because the transformed data sets are exactly such
+combinations.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.special import ive
 
 from .errors import CapabilityError, DomainError
-from .special import gamma
+from .special import bessel_clifford, gamma
 
 
 class SmoothField:
@@ -29,6 +43,12 @@ class SmoothField:
     def eval(self, points: np.ndarray, lap: int = 0) -> np.ndarray:
         raise NotImplementedError
 
+    def sphere_mean(self, x, radii, lap: int = 0):
+        """Exact mean of Laplacian^lap f over each sphere S(x, r), r in
+        radii, as an array shaped like radii; None when the family has no
+        closed form (callers then integrate over directions)."""
+        return None
+
     def _check_order(self, lap: int):
         if lap < 0:
             raise DomainError("Laplacian order must be non-negative")
@@ -38,7 +58,23 @@ class SmoothField:
                 f"{self.max_laplacian_order}, got {lap}")
 
 
-class PlaneWaveField(SmoothField):
+class LaplaceEigenfield(SmoothField):
+    """Field with Laplacian f = eigenvalue * f, eigenvalue <= 0.
+
+    By the mean-value theorem for the Helmholtz equation its sphere mean
+    is the centre value times jbar((n-2)/2, sqrt(-eigenvalue) r).
+    """
+
+    eigenvalue: float
+
+    def sphere_mean(self, x, radii, lap=0):
+        centre = self.eval(np.asarray(x, dtype=float)[None, :], lap)[0]
+        radii = np.asarray(radii, dtype=float)
+        return centre * bessel_clifford((self.dimension - 2) / 2.0,
+                                        math.sqrt(-self.eigenvalue) * radii)
+
+
+class PlaneWaveField(LaplaceEigenfield):
     """amplitude * cos(k . x + phase); Laplacian eigenfield with value -|k|^2."""
 
     def __init__(self, wave_vector, phase: float = 0.0, amplitude: float = 1.0):
@@ -55,7 +91,7 @@ class PlaneWaveField(SmoothField):
                 * np.cos(points @ self.wave_vector + self.phase))
 
 
-class SineProductField(SmoothField):
+class SineProductField(LaplaceEigenfield):
     """amplitude * prod_i sin(k_i x_i); eigenfield with value -sum k_i^2."""
 
     def __init__(self, wave_vector, amplitude: float = 1.0):
@@ -110,6 +146,21 @@ class PolynomialField(SmoothField):
             vals += term
         return vals
 
+    def sphere_mean(self, x, radii, lap=0):
+        """Pizzetti's formula; the series ends where Laplacian^j f = 0."""
+        self._check_order(lap)
+        centre = np.asarray(x, dtype=float)[None, :]
+        r2 = np.asarray(radii, dtype=float) ** 2
+        n = self.dimension
+        degree = max((sum(idx) for idx in self.coefficients), default=0)
+        total = np.zeros_like(r2)
+        weight = 1.0  # 1 / (2^j j! n (n+2) ... (n+2j-2))
+        for j in range(max(0, degree // 2 - lap) + 1):
+            if j:
+                weight /= 2.0 * j * (n + 2 * j - 2)
+            total = total + weight * r2 ** j * self.eval(centre, lap + j)[0]
+        return total
+
 
 class GaussianField(SmoothField):
     """amplitude * exp(-a |x - center|^2), iterated Laplacians up to order 3.
@@ -157,6 +208,73 @@ class GaussianField(SmoothField):
         q = np.polynomial.polynomial.polyval(v, self._radial_polys[lap])
         return self.amplitude * q * np.exp(-self.width * v)
 
+    def sphere_mean(self, x, radii, lap=0):
+        """Mean of q_lap(v) exp(-a v), v = |xi-c|^2, over S(x, r).
+
+        With d = |x-c|, P = d^2 + r^2 and Ibar_mu(z) = jbar(mu, i z), the
+        mean of v^i exp(-a v) is (-d/da)^i [exp(-a P) Ibar_nu(2 a d r)];
+        the derivatives close on Ibar_{nu+k} through
+        Ibar_mu'(z) = z Ibar_{mu+1}(z) / (2(mu+1)).  The factor
+        exp(-a d^2) is the centre value eval(x) / amplitude.  Returns None
+        where that factor underflows (the fallback quadrature then sees
+        the data directly).
+        """
+        self._check_order(lap)
+        x = np.asarray(x, dtype=float)
+        radii = np.asarray(radii, dtype=float)
+        a, nu = self.width, (self.dimension - 2) / 2.0
+        d = float(np.linalg.norm(x - self.center))
+        if a * d * d > _EXP_LIMIT:
+            return None
+        big_p = d * d + radii * radii
+        b2 = 4.0 * d * d * radii * radii       # z = a b, b = 2 d r
+        # moments[i]: {(p, k): c} for sum c a^p exp(-a P) Ibar_{nu+k}(a b)
+        moments = [{(0, 0): np.ones_like(radii)}]
+        for _ in range(lap):
+            nxt = defaultdict(float)
+            for (p, k), c in moments[-1].items():
+                if p:
+                    nxt[p - 1, k] -= p * c
+                nxt[p, k] += big_p * c
+                nxt[p + 1, k + 1] -= b2 * c / (2.0 * (nu + k + 1.0))
+            moments.append(nxt)
+        ibar = [_damped_ibar(nu + k, 2.0 * a * d * radii, a * radii * radii)
+                for k in range(lap + 1)]
+        total = np.zeros_like(radii)
+        for coeff, terms in zip(self._radial_polys[lap], moments):
+            for (p, k), c in terms.items():
+                total = total + coeff * a ** p * c * ibar[k]
+        return self.eval(x[None, :])[0] * total
+
+
+# exp(-_EXP_LIMIT) is still a normal float64
+_EXP_LIMIT = 700.0
+# below this argument Ibar_mu is summed as its power series
+_IBAR_SERIES_CUTOFF = 1.0
+
+
+def _damped_ibar(mu: float, z: np.ndarray, damp: np.ndarray) -> np.ndarray:
+    """exp(-damp) * Ibar_mu(z), Ibar_mu(z) = Gamma(mu+1) (z/2)^-mu I_mu(z).
+
+    Small z (which covers d = 0 and r = 0) uses the power series
+    sum (z^2/4)^k / ((mu+1)_k k!); large z the exponentially scaled
+    I_mu, so that exp(z) never forms on its own.
+    """
+    out = np.empty_like(z)
+    small = z < _IBAR_SERIES_CUTOFF
+    zs = z[small]
+    w = 0.25 * zs * zs
+    term = np.ones_like(zs)
+    total = np.ones_like(zs)
+    for k in range(10):  # w < 1/4: later terms fall below 1e-18
+        term = term * w / ((mu + k + 1.0) * (k + 1.0))
+        total += term
+    out[small] = total * np.exp(-damp[small])
+    zl = z[~small]
+    out[~small] = (gamma(mu + 1.0) * (zl / 2.0) ** (-mu) * ive(mu, zl)
+                   * np.exp(zl - damp[~small]))
+    return out
+
 
 @dataclass
 class FieldSum(SmoothField):
@@ -175,6 +293,16 @@ class FieldSum(SmoothField):
         for coeff, shift, f in self.terms:
             vals += coeff * f.eval(points, lap + shift)
         return vals
+
+    def sphere_mean(self, x, radii, lap=0):
+        total = np.zeros(np.shape(radii))
+        for coeff, shift, f in self.terms:
+            closed_form = getattr(f, "sphere_mean", None)
+            mean = closed_form(x, radii, lap + shift) if closed_form else None
+            if mean is None:
+                return None
+            total = total + coeff * mean
+        return total
 
     def scaled(self, factor: float) -> "FieldSum":
         return FieldSum([(c * factor, s, f) for c, s, f in self.terms],

@@ -1,17 +1,27 @@
-"""Weighted radial and unit-sphere quadrature.
+"""Weighted radial quadrature, spherical means and ball kernel integrals.
 
 All solution formulas share one building block: integrals over the ball
 |xi - x| < t of a smooth field against the kernel
 
     (t^2 - |xi - x|^2)^beta * jbar(nu, lam * sqrt(t^2 - |xi - x|^2)).
 
-The substitution r = t*s turns the radial part into an integral over
-(0, 1) with weight (1 - s^2)^beta, singular at s = 1 for beta in (-1, 0).
-A Gauss rule with respect to that weight absorbs the singularity exactly;
-its nodes come from a discretised Stieltjes procedure followed by
-Golub-Welsch, with the discretisation done by a high-order Gauss-Jacobi
-rule (the (1-s)^beta endpoint factor handled exactly, the analytic
-(1+s)^beta factor folded into the discrete weights).
+The substitution r = t*s turns the integral into
+
+    omega_n t^{n+2 beta} int_0^1 (1-s^2)^beta s^{n-1}
+                         jbar(nu, lam t sqrt(1-s^2)) M_f(x, t s) ds,
+
+where M_f(x, r) is the mean of f over the sphere S(x, r).  The weight
+(1 - s^2)^beta is singular at s = 1 for beta in (-1, 0); a Gauss rule
+with respect to it absorbs the singularity exactly.  Its recurrence
+coefficients come from the exact moments by the Chebyshev algorithm in
+mpmath, followed by Golub-Welsch.
+
+The spherical means are the one interface to the data.  Fields that
+provide ``sphere_mean`` (every shipped family) give them in closed form,
+so a ball integral costs one mean per radial node.  Plain callables and
+fields without a closed form fall back to a direction rule on the unit
+sphere (n in {1, 2, 3}), evaluated in chunks of at most
+_MAX_POINTS_PER_CHUNK space points.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from scipy.special import roots_legendre
 from .errors import ContractError, DomainError
 from .special import bessel_clifford, sphere_area_const
 
-# Chunk limit for batched field evaluations (number of space points).
+# Chunk limit for batched fallback field evaluations (number of space points).
 _MAX_POINTS_PER_CHUNK = 4_000_000
 
 
@@ -49,12 +59,25 @@ class SphereRule:
     """Quadrature on the unit sphere in R^n, n in {1, 2, 3}.
 
     weights sum to omega_n; directions are unit vectors of shape (S, n).
+    Only the fallback for fields without closed-form sphere means reads
+    them, so they are built (and cached) on first access; a dimension
+    outside {1, 2, 3} raises DomainError there.
     """
 
     dimension: int
     order: int
-    directions: np.ndarray
-    weights: np.ndarray
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise DomainError("sphere order must be >= 1")
+
+    @property
+    def directions(self) -> np.ndarray:
+        return _sphere_nodes_cached(self.dimension, self.order)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _sphere_nodes_cached(self.dimension, self.order)[1]
 
 
 @lru_cache(maxsize=128)
@@ -114,7 +137,7 @@ def make_radial_rule(beta: float, order: int) -> RadialRule:
 
 
 @lru_cache(maxsize=64)
-def _sphere_rule_cached(n: int, order: int) -> SphereRule:
+def _sphere_nodes_cached(n: int, order: int):
     if n == 1:
         directions = np.array([[-1.0], [1.0]])
         weights = np.array([1.0, 1.0])
@@ -138,14 +161,14 @@ def _sphere_rule_cached(n: int, order: int) -> SphereRule:
         weights = (wmu[:, None] * (2.0 * np.pi / m_phi)).repeat(m_phi).reshape(order, m_phi).reshape(-1)
     else:
         raise DomainError(f"sphere quadrature supports n in {{1,2,3}}, got {n}")
-    return SphereRule(dimension=n, order=order, directions=directions,
-                      weights=weights)
+    return directions, weights
 
 
 def make_sphere_rule(n: int, order: int) -> SphereRule:
-    if order < 1:
-        raise DomainError("sphere order must be >= 1")
-    return _sphere_rule_cached(int(n), int(order))
+    """Sphere rule with its directions built now (DomainError for n > 3)."""
+    rule = SphereRule(int(n), int(order))
+    _sphere_nodes_cached(rule.dimension, rule.order)
+    return rule
 
 
 def _field_values(f, points: np.ndarray) -> np.ndarray:
@@ -154,20 +177,27 @@ def _field_values(f, points: np.ndarray) -> np.ndarray:
     return np.asarray(f(points), dtype=float)
 
 
+def _closed_form_means(f, x: np.ndarray, radii: np.ndarray):
+    """Exact sphere means of f about x when f has them, else None."""
+    closed_form = getattr(f, "sphere_mean", None)
+    return closed_form(x, radii) if closed_form else None
+
+
 def sphere_mean(f, x, r: float, rule: SphereRule) -> float:
     """Arithmetic mean of f over the sphere S(x, r); f(x) at r = 0."""
-    x = np.asarray(x, dtype=float)
     if r < 0.0:
         raise DomainError("sphere radius must be non-negative")
-    points = x[None, :] + r * rule.directions
-    vals = _field_values(f, points)
-    return float(np.dot(rule.weights, vals) / sphere_area_const(rule.dimension))
+    return float(sphere_means_many(f, x, np.array([r]), rule)[0])
 
 
 def sphere_means_many(f, x, radii: np.ndarray, rule: SphereRule) -> np.ndarray:
-    """Sphere means of f about x for a whole vector of radii at once."""
+    """Sphere means of f about x for a whole vector of radii at once:
+    closed form when f has one, the direction rule otherwise."""
     x = np.asarray(x, dtype=float)
     radii = np.asarray(radii, dtype=float)
+    means = _closed_form_means(f, x, radii)
+    if means is not None:
+        return means
     pts = x[None, None, :] + radii[:, None, None] * rule.directions[None, :, :]
     vals = _field_values(f, pts.reshape(-1, x.size)).reshape(radii.size, -1)
     return vals @ rule.weights / sphere_area_const(rule.dimension)
@@ -189,7 +219,11 @@ def ball_kernel_integral(f, x, t: float, beta: float, nu: float, lam: float,
 def ball_kernel_integral_many(f, x, tvals: np.ndarray, beta: float, nu: float,
                               lam: float, radial: RadialRule,
                               sphere: SphereRule) -> np.ndarray:
-    """Vectorised ball kernel integral over a batch of radii t > 0."""
+    """Vectorised ball kernel integral over a batch of radii t > 0.
+
+    One closed-form sphere mean per (t, s) node when f has them; the
+    direction rule ``sphere`` is read only for the fallback.
+    """
     if radial.beta != beta:
         raise ContractError(
             f"radial rule built for beta={radial.beta} used with beta={beta}")
@@ -199,24 +233,31 @@ def ball_kernel_integral_many(f, x, tvals: np.ndarray, beta: float, nu: float,
         raise DomainError("ball integral needs t > 0")
     n = x.size
     s = radial.nodes
-    n_t, n_r, n_s = tvals.size, s.size, sphere.weights.size
-
-    out = np.empty(n_t)
-    chunk = max(1, _MAX_POINTS_PER_CHUNK // (n_r * n_s))
+    n_t, n_r = tvals.size, s.size
     root = np.sqrt(1.0 - s * s)
     radial_w = radial.weights * s ** (n - 1)
+
+    def radial_sum(tc, sphere_sums):
+        # sphere_sums[i, j]: integral of f over S(x, tc[i] * s[j]) / radius^(n-1)
+        if lam != 0.0:
+            kern = bessel_clifford(nu, lam * tc[:, None] * root[None, :])
+        else:
+            kern = 1.0
+        return tc ** (n + 2.0 * beta) * np.sum(radial_w * kern * sphere_sums,
+                                               axis=-1)
+
+    means = _closed_form_means(f, x, (tvals[:, None] * s[None, :]).ravel())
+    if means is not None:
+        return radial_sum(tvals, sphere_area_const(n) * means.reshape(n_t, n_r))
+
+    n_s = sphere.weights.size
+    out = np.empty(n_t)
+    chunk = max(1, _MAX_POINTS_PER_CHUNK // (n_r * n_s))
     for start in range(0, n_t, chunk):
         tc = tvals[start:start + chunk]
         pts = (x[None, None, None, :]
                + tc[:, None, None, None] * s[None, :, None, None]
                * sphere.directions[None, None, :, :])
         vals = _field_values(f, pts.reshape(-1, n)).reshape(tc.size, n_r, n_s)
-        sphere_sums = vals @ sphere.weights                     # (T, R)
-        if lam != 0.0:
-            kern = bessel_clifford(nu, lam * tc[:, None] * root[None, :])
-        else:
-            kern = 1.0
-        out[start:start + chunk] = (tc ** (n + 2.0 * beta)
-                                    * np.sum(radial_w * kern * sphere_sums,
-                                             axis=-1))
+        out[start:start + chunk] = radial_sum(tc, vals @ sphere.weights)
     return out

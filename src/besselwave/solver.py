@@ -36,8 +36,8 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .fields import (TransformedData, build_psi_star_data,
                      build_transformed_data, psi_star_from_psi)
-from .quadrature import (ball_kernel_integral_many, make_radial_rule,
-                         make_sphere_rule)
+from .quadrature import (SphereRule, ball_kernel_integral_many,
+                         make_radial_rule)
 from .special import gamma, odd_product_upto, pochhammer, sphere_area_const
 from .transmute import EKParams, bessel_op_apply, lowndes_apply_many
 from .wave import (PolyWaveProblem, RuleSet, polywave_solve_even_many,
@@ -93,7 +93,7 @@ def _ball_series_eval(fields, x, tvals, n, lam, base_exp, weights, q,
                            jbar(base_exp+k, lam sqrt(t^2-rho^2)) fields[k] dxi
     """
     tvals = np.asarray(tvals, dtype=float)
-    sphere = make_sphere_rule(n, rules.sphere_order)
+    sphere = SphereRule(n, rules.sphere_order)
     total = np.zeros_like(tvals)
     for k, fld in enumerate(fields):
         if not fld.terms:

@@ -28,8 +28,8 @@ from scipy.special import roots_legendre
 
 from .errors import ContractError, DomainError
 from .fields import TransformedData
-from .quadrature import (ball_kernel_integral_many, make_radial_rule,
-                         make_sphere_rule, sphere_means_many)
+from .quadrature import (SphereRule, ball_kernel_integral_many,
+                         make_radial_rule, sphere_means_many)
 from .special import gamma, odd_product_upto, sphere_area_const
 from .transmute import lemma1_constants
 
@@ -101,7 +101,9 @@ def radial_time_operator(g, q: int, rel_h: float, richardson: bool = True,
 
 def _surface_term(field, x, n: int, sphere):
     """(1/t) * integral of field over the sphere |xi-x| = t, as a smooth
-    vectorised function of t:  omega_n t^{n-2} * sphere mean."""
+    vectorised function of t:  omega_n t^{n-2} * sphere mean.  The mean
+    is the field's closed form; the direction rule `sphere` is only the
+    fallback for fields without one."""
     omega = sphere_area_const(n)
 
     def g(tvals: np.ndarray) -> np.ndarray:
@@ -137,7 +139,7 @@ def polywave_solve_odd_many(x, tvals: np.ndarray, problem: PolyWaveProblem,
         raise ContractError(f"odd-dimension solver called with n={n}")
     tvals = np.asarray(tvals, dtype=float)
     q = (n - 3) // 2
-    sphere = make_sphere_rule(n, rules.sphere_order)
+    sphere = SphereRule(n, rules.sphere_order)
     gamma_n = 1.0 / (odd_product_upto(n - 2) * sphere_area_const(n))
 
     total = np.zeros_like(tvals)
@@ -176,7 +178,7 @@ def polywave_solve_even_many(x, tvals: np.ndarray, problem: PolyWaveProblem,
         raise ContractError(f"even-dimension solver called with n={n}")
     tvals = np.asarray(tvals, dtype=float)
     q = (n - 2) // 2
-    sphere = make_sphere_rule(n, rules.sphere_order)
+    sphere = SphereRule(n, rules.sphere_order)
     const = 2.0 * math.sqrt(math.pi) / (odd_product_upto(n - 1)
                                         * sphere_area_const(n + 1))
 
@@ -213,7 +215,7 @@ def radial_profile(field, x, n: int, rules: RuleSet, deriv_step: float = 1e-3):
         raise DomainError("radial profiles are defined for odd n")
     p = (n - 1) // 2
     consts = lemma1_constants(p)
-    sphere = make_sphere_rule(n, rules.sphere_order)
+    sphere = SphereRule(n, rules.sphere_order)
 
     def mean(r):
         return sphere_means_many(field, x, np.asarray(r, dtype=float), sphere)

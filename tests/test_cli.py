@@ -5,6 +5,7 @@ from besselwave.cli import main, parse_config, parse_field_spec
 from besselwave.errors import ConfigError
 from besselwave.fields import (GaussianField, PlaneWaveField, PolynomialField,
                                SineProductField)
+from besselwave.special import bessel_clifford
 
 GOOD_CONFIG = """\
 problem.n = 3
@@ -152,6 +153,47 @@ class TestSolveCommand:
     def test_missing_config_exit_1(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert main(["solve"]) == 1
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("quadrature.radial_order", "abc"),
+        ("quadrature.sphere_order", "1.5"),
+        ("verify.fd_step", "x"),
+        ("verify.richardson_levels", "three"),
+        ("verify.probes", "2.0"),
+        ("verify.tolerance", "tight"),
+        ("verify.t0", "0,1"),
+        ("operators.m_max", "x"),
+        ("convergence.orders", "16 2x 32"),
+        ("output.precision", "high"),
+        ("output.precision", "-3"),
+    ])
+    def test_bad_number_exit_1(self, tmp_path, capsys, key, value):
+        text = GOOD_CONFIG.replace(f"{key} = ", "# ") + f"{key} = {value}\n"
+        cfg = self.write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert key in err
+
+    @pytest.mark.parametrize("n, k", [
+        (4, "0.5 -0.5 0.5 0.5"),
+        (5, "0.6 -0.4 0.2 0.4 0.5291502622129181"),
+    ])
+    def test_solve_higher_dimension(self, tmp_path, n, k):
+        x = " ".join(["0.2"] * n)
+        text = (f"problem.n = {n}\nproblem.m = 1\nproblem.gamma = 0.5\n"
+                f"problem.lambda = 1.0\ndata.phi0 = planewave:k={k}\n"
+                f"grid.x = {x}\ngrid.t = 0.5 1.5\n")
+        cfg = self.write_config(tmp_path, text)
+        out = tmp_path / "sol.csv"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        centre = np.cos(0.2 * sum(float(v) for v in k.split()))
+        for row in rows:
+            t, u = (float(v) for v in row.split(",")[-2:])
+            exact = centre * bessel_clifford(0.5, np.sqrt(2.0) * t)
+            assert u == pytest.approx(exact, abs=1e-6)
 
 
 class TestOperatorsCommand:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from besselwave.errors import CapabilityError, DomainError
 from besselwave.fields import (FieldSum, GaussianField, PlaneWaveField,
-                               PolynomialField, SineProductField,
+                               PolynomialField, SineProductField, SmoothField,
                                build_psi_star_data, build_transformed_data,
                                coefficient_a, iterated_laplacian,
                                psi_star_from_psi, zero_field)
+from besselwave.quadrature import make_sphere_rule, sphere_means_many
+from besselwave.special import sphere_area_const
 
 
 def fd_laplacian(f, x, h):
@@ -90,6 +93,99 @@ class TestFieldSum:
         z = zero_field(3)
         assert z.eval(np.zeros((4, 3))).tolist() == [0.0] * 4
         assert not z.terms
+
+
+def _vectors(n, bound):
+    return st.lists(st.floats(-bound, bound), min_size=n,
+                    max_size=n).map(np.array)
+
+
+def _fields(n):
+    """Every shipped family, with its highest supported Laplacian order 3
+    (polynomials of degree <= 4 per variable are zeroed by higher ones)."""
+    amplitude = st.floats(0.5, 2.0)
+    return st.one_of(
+        st.builds(PlaneWaveField, _vectors(n, 1.5),
+                  phase=st.floats(0.0, 2.0 * math.pi), amplitude=amplitude),
+        st.builds(SineProductField, _vectors(n, 1.5), amplitude=amplitude),
+        st.builds(GaussianField, st.floats(0.05, 2.0), _vectors(n, 1.0),
+                  amplitude=amplitude),
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                        st.floats(-2.0, 2.0), min_size=1, max_size=5)
+        .map(lambda c: PolynomialField(c, n)))
+
+
+def _quadrature_means(f, x, radii, lap):
+    """High-order direction-rule means of Laplacian^lap f, with the largest
+    integrand magnitude on each sphere as the scale of the error."""
+    n = x.size
+    rule = make_sphere_rule(n, 48)
+    pts = x[None, None, :] + radii[:, None, None] * rule.directions[None]
+    vals = f.eval(pts.reshape(-1, n), lap).reshape(radii.size, -1)
+    return vals @ rule.weights / sphere_area_const(n), np.max(np.abs(vals), axis=1)
+
+
+class TestSphereMean:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]),
+           lap=st.integers(0, 3), at_centre=st.booleans(),
+           radii=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4))
+    def test_closed_form_matches_quadrature(self, data, n, lap, at_centre,
+                                            radii):
+        f = data.draw(_fields(n))
+        x = data.draw(_vectors(n, 1.0))
+        if at_centre and isinstance(f, GaussianField):
+            x = f.center.copy()  # d = 0
+        radii = np.array([0.0, 1e-7] + radii)
+        exact = f.sphere_mean(x, radii, lap)
+        ref, scale = _quadrature_means(f, x, radii, lap)
+        assert exact.shape == radii.shape
+        assert np.all(np.abs(exact - ref) <= 1e-12 * np.maximum(scale, 1e-300))
+
+    def test_zero_radius_is_centre_value(self):
+        x = np.array([0.3, -0.1, 0.5])
+        for f in (PlaneWaveField(np.array([0.4, 1.0, -0.3]), phase=0.2),
+                  GaussianField(1.3, np.array([0.1, 0.0, 0.2])),
+                  PolynomialField({(2, 1, 0): 1.5, (0, 0, 4): -0.5}, 3)):
+            for lap in range(3):
+                assert f.sphere_mean(x, np.array([0.0]), lap)[0] == \
+                    pytest.approx(iterated_laplacian(f, x, lap), rel=1e-14)
+
+    def test_gaussian_far_from_centre_has_no_closed_form(self):
+        # exp(-a d^2) underflows: the mean is left to the quadrature
+        g = GaussianField(2.0, np.zeros(2))
+        assert g.sphere_mean(np.array([30.0, 0.0]), np.array([1.0])) is None
+
+    def test_field_sum_combines_terms(self):
+        pw = PlaneWaveField(np.array([0.5, -0.9]), phase=0.3)
+        g = GaussianField(0.7, np.array([0.1, 0.2]))
+        fs = FieldSum([(2.0, 1, pw), (-0.5, 0, g)])
+        x, radii = np.array([0.4, -0.3]), np.array([0.2, 1.1])
+        expected = (2.0 * pw.sphere_mean(x, radii, 1)
+                    - 0.5 * g.sphere_mean(x, radii))
+        assert np.allclose(fs.sphere_mean(x, radii), expected, rtol=1e-15,
+                           atol=0)
+
+    def test_field_sum_without_closed_form_falls_back(self):
+        class Opaque(SmoothField):  # no sphere_mean: only eval is known
+            dimension = 3
+
+            def eval(self, points, lap=0):
+                points = np.atleast_2d(points)
+                return np.exp(points[:, 0]) * np.cos(points[:, 1])
+
+        pw = PlaneWaveField(np.array([0.6, -0.5, 0.2]))
+        fs = FieldSum([(1.5, 0, pw), (0.5, 0, Opaque())])
+        x, radii = np.array([0.2, 0.1, -0.3]), np.array([0.3, 0.8, 1.4])
+        assert fs.sphere_mean(x, radii) is None
+        rule = make_sphere_rule(3, 24)
+        means = sphere_means_many(fs, x, radii, rule)
+        ref, scale = _quadrature_means(fs, x, radii, 0)
+        assert np.all(np.abs(means - ref) <= 1e-12 * scale)
+        # the closed-form part alone agrees with its quadrature too
+        split = (1.5 * pw.sphere_mean(x, radii)
+                 + 0.5 * sphere_means_many(Opaque(), x, radii, rule))
+        assert np.allclose(means, split, rtol=1e-12, atol=1e-14)
 
 
 class TestCoefficientA:

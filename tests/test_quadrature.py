@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from besselwave.errors import ContractError, DomainError
-from besselwave.fields import PlaneWaveField, PolynomialField
-from besselwave.quadrature import (ball_kernel_integral, ball_kernel_integral_many,
-                                   make_radial_rule, make_sphere_rule,
-                                   sphere_mean, sphere_means_many)
+from besselwave.fields import GaussianField, PlaneWaveField, PolynomialField
+from besselwave.quadrature import (SphereRule, ball_kernel_integral,
+                                   ball_kernel_integral_many, make_radial_rule,
+                                   make_sphere_rule, sphere_mean,
+                                   sphere_means_many)
 from besselwave.special import beta as beta_fn, sphere_area_const
 
 
@@ -73,6 +74,13 @@ class TestSphereRule:
             make_sphere_rule(4, 8)
         with pytest.raises(DomainError):
             make_sphere_rule(3, 0)
+
+    def test_directions_built_on_first_access(self):
+        rule = SphereRule(4, 8)  # no directions needed yet
+        with pytest.raises(DomainError):
+            rule.weights
+        with pytest.raises(DomainError):
+            SphereRule(3, 0)
 
 
 class TestSphereMean:
@@ -181,6 +189,38 @@ class TestBallKernelIntegral:
         with pytest.raises(ContractError):
             ball_kernel_integral(PlaneWaveField(np.ones(2)), np.zeros(2), 1.0,
                                  0.4, 0.4, 0.0, radial, sphere)
+
+    @pytest.mark.parametrize("field", [
+        PlaneWaveField(np.array([0.6, -0.5, 0.3]), phase=0.2),
+        GaussianField(1.2, np.array([0.1, -0.2, 0.0]), amplitude=0.7),
+        PolynomialField({(2, 0, 1): 0.4, (0, 1, 0): -1.0, (0, 0, 0): 0.3}, 3),
+    ])
+    def test_closed_form_matches_direction_rule(self, field):
+        radial = make_radial_rule(-0.25, 32)
+        sphere = make_sphere_rule(3, 24)
+        x = np.array([0.2, 0.1, -0.3])
+        ts = np.array([0.4, 1.3, 2.1])
+        exact = ball_kernel_integral_many(field, x, ts, -0.25, -0.25, 0.9,
+                                          radial, sphere)
+        # a plain callable has no closed form and takes the fallback
+        quad = ball_kernel_integral_many(lambda pts: field.eval(pts), x, ts,
+                                         -0.25, -0.25, 0.9, radial, sphere)
+        assert np.max(np.abs(exact - quad)) <= 1e-12 * max(
+            1.0, np.max(np.abs(quad)))
+
+    def test_closed_form_needs_no_direction_rule(self):
+        # n = 4 has no direction rule; closed-form means do not need one
+        radial = make_radial_rule(0.5, 16)
+        sphere = SphereRule(4, 8)
+        f = PolynomialField({(0, 0, 0, 0): 2.0}, 4)
+        val = ball_kernel_integral(f, np.zeros(4), 1.2, 0.5, 0.5, 0.0, radial,
+                                   sphere)
+        exact = (2.0 * sphere_area_const(4) * 1.2 ** 5.0
+                 * beta_fn(2.0, 1.5) / 2.0)
+        assert val == pytest.approx(exact, rel=1e-12)
+        with pytest.raises(DomainError):
+            ball_kernel_integral(lambda pts: np.ones(len(pts)), np.zeros(4),
+                                 1.2, 0.5, 0.5, 0.0, radial, sphere)
 
     def test_nonpositive_t(self):
         radial = make_radial_rule(0.3, 8)

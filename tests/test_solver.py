@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from besselwave.errors import ContractError, DomainError
-from besselwave.fields import PlaneWaveField
+from besselwave.fields import PlaneWaveField, SineProductField
 from besselwave.solver import (ProblemSpec, SolutionEvaluator,
                                check_lemma2_conditions, solve_point_even,
                                solve_point_odd, solve_profile_odd,
@@ -54,6 +54,34 @@ class TestProblemSpec:
                            fields=(PlaneWaveField(K3),))
         with pytest.raises(ContractError):
             transformed_data(spec)
+
+
+# |k| = 1 wave vectors and probe points in four and five dimensions
+K_HIGH = {4: np.array([0.5, -0.5, 0.5, 0.5]),
+          5: np.array([0.6, -0.4, 0.2, 0.4, math.sqrt(0.28)])}
+X_HIGH = {4: np.array([0.9, -0.7, 1.1, 0.8]),
+          5: np.array([0.9, -0.7, 1.1, 0.8, -1.2])}
+# acceptance tests 01 (odd n) and 02 (even n)
+ORACLE_TOL = {1: 1e-6, 0: 1e-5}
+
+
+class TestHigherDimensions:
+    """n = 4, 5 reach the data only through closed-form sphere means."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("family", [PlaneWaveField, SineProductField])
+    @pytest.mark.parametrize("method", ["direct", "transmutation"])
+    def test_m1_eigenfield_oracle(self, n, family, method):
+        # u = f(x) jbar(gamma, sqrt(|k|^2 + lam^2) t), error relative to
+        # the centre value (the oracle itself crosses zero on this grid)
+        spec = ProblemSpec(n=n, m=1, gamma_param=0.5, lam=1.0,
+                           fields=(family(K_HIGH[n]),))
+        x = X_HIGH[n]
+        ts = np.linspace(0.1, 3.0, 20)
+        u = SolutionEvaluator(spec, RuleSet(48, 24), method).profile(x, ts)
+        centre = spec.fields[0].eval(x[None, :])[0]
+        exact = centre * bessel_clifford(0.5, math.sqrt(2.0) * ts)
+        assert np.max(np.abs(u - exact)) <= ORACLE_TOL[n % 2] * abs(centre)
 
 
 class TestSeparableOracles:
