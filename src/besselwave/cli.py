@@ -21,6 +21,7 @@ error, 3 verification tolerance exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -61,21 +62,31 @@ class RunConfig:
 
 
 def _number(raw: dict, key: str, default: str, kind=float):
-    """raw[key] (or default) converted by kind; ConfigError if it is not
-    a number of that kind."""
+    """raw[key] (or default) as a finite float or, with kind=int, an
+    integer; ConfigError otherwise."""
     text = raw.get(key, default)
+    if kind is float:
+        return _finite(text, key)
     try:
-        return kind(text)
+        return int(text)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"bad {key}: {text!r} is not {what}") from None
+        raise ConfigError(f"bad {key}: {text!r} is not an integer") from None
+
+
+def _finite(text: str, what: str) -> float:
+    """float(text); ConfigError unless it is a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"bad {what}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"bad {what}: {text!r} is not finite")
+    return value
 
 
 def _vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(v) for v in text.split()], dtype=float)
-    except ValueError as exc:
-        raise ConfigError(f"bad vector {text!r}: {exc}") from None
+    return np.array([_finite(v, f"vector {text!r}") for v in text.split()],
+                    dtype=float)
 
 
 def parse_field_spec(text: str, dimension: int):
@@ -89,24 +100,33 @@ def parse_field_spec(text: str, dimension: int):
             if not eq:
                 raise ConfigError(f"field parameter {item!r} is not key=value")
             params[key.strip()] = val.strip()
+
+    def number(key, default=None):
+        raw = params.pop(key) if default is None else params.pop(key, default)
+        return _finite(raw, f"{family} parameter {key}")
+
     try:
         if family == "planewave":
             out = PlaneWaveField(_vector(params.pop("k")),
-                                 phase=float(params.pop("phase", "0")),
-                                 amplitude=float(params.pop("amplitude", "1")))
+                                 phase=number("phase", "0"),
+                                 amplitude=number("amplitude", "1"))
         elif family == "sineproduct":
             out = SineProductField(_vector(params.pop("k")),
-                                   amplitude=float(params.pop("amplitude", "1")))
+                                   amplitude=number("amplitude", "1"))
         elif family == "gaussian":
-            out = GaussianField(float(params.pop("width")),
+            out = GaussianField(number("width"),
                                 _vector(params.pop("center")),
-                                amplitude=float(params.pop("amplitude", "1")))
+                                amplitude=number("amplitude", "1"))
         elif family == "polynomial":
             coeffs = {}
             for key in list(params):
                 if key.startswith("c(") and key.endswith(")"):
-                    idx = tuple(int(a) for a in key[2:-1].split())
-                    coeffs[idx] = float(params.pop(key))
+                    try:
+                        idx = tuple(int(a) for a in key[2:-1].split())
+                    except ValueError:
+                        raise ConfigError(
+                            f"bad polynomial index {key!r}") from None
+                    coeffs[idx] = number(key)
             out = PolynomialField(coeffs, dimension)
         elif family == "zero":
             params.pop("dim", None)
@@ -187,10 +207,7 @@ def parse_config(text: str) -> RunConfig:
                         f"grid point {part.strip()!r} has dimension {pt.size}, "
                         f"expected {n}")
                 grid_x.append(pt)
-    try:
-        grid_t = [float(v) for v in raw.get("grid.t", "").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad grid.t: {exc}") from None
+    grid_t = [_finite(v, "grid.t") for v in raw.get("grid.t", "").split()]
     if any(t <= 0.0 for t in grid_t):
         raise ConfigError("grid.t values must be positive")
 

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ive
 
 from .errors import CapabilityError, DomainError
-from .special import bessel_clifford, gamma
+from .special import SERIES_CUTOFF, _hyp0f1, bessel_clifford, gamma
 
 
 class SmoothField:
@@ -249,27 +249,21 @@ class GaussianField(SmoothField):
 
 # exp(-_EXP_LIMIT) is still a normal float64
 _EXP_LIMIT = 700.0
-# below this argument Ibar_mu is summed as its power series
-_IBAR_SERIES_CUTOFF = 1.0
 
 
 def _damped_ibar(mu: float, z: np.ndarray, damp: np.ndarray) -> np.ndarray:
     """exp(-damp) * Ibar_mu(z), Ibar_mu(z) = Gamma(mu+1) (z/2)^-mu I_mu(z).
 
-    Small z (which covers d = 0 and r = 0) uses the power series
-    sum (z^2/4)^k / ((mu+1)_k k!); large z the exponentially scaled
-    I_mu, so that exp(z) never forms on its own.
+    Below SERIES_CUTOFF (which covers d = 0 and r = 0) the power series
+    Ibar_mu(z) = 0F1(; mu+1; z^2/4) goes through the Bessel-Clifford
+    series core: its terms are all positive, so nothing cancels, and the
+    cutoff keeps the term count below about 25.  Larger z uses the
+    exponentially scaled I_mu, so that exp(z) never forms on its own.
     """
     out = np.empty_like(z)
-    small = z < _IBAR_SERIES_CUTOFF
+    small = z < SERIES_CUTOFF
     zs = z[small]
-    w = 0.25 * zs * zs
-    term = np.ones_like(zs)
-    total = np.ones_like(zs)
-    for k in range(10):  # w < 1/4: later terms fall below 1e-18
-        term = term * w / ((mu + k + 1.0) * (k + 1.0))
-        total += term
-    out[small] = total * np.exp(-damp[small])
+    out[small] = _hyp0f1(mu, 0.25 * zs * zs) * np.exp(-damp[small])
     zl = z[~small]
     out[~small] = (gamma(mu + 1.0) * (zl / 2.0) ** (-mu) * ive(mu, zl)
                    * np.exp(zl - damp[~small]))
@@ -295,13 +289,26 @@ class FieldSum(SmoothField):
         return vals
 
     def sphere_mean(self, x, radii, lap=0):
+        """Sum of the terms' closed forms; None if one term has none.
+
+        Terms on the same eigenfield f differ only by the factor
+        eigenvalue^(lap+shift), so they are merged into one coefficient
+        and cost one mean (one Bessel-Clifford call) per f.
+        """
         total = np.zeros(np.shape(radii))
+        eigen = {}  # eigenfield (hashed by identity) -> summed coefficient
         for coeff, shift, f in self.terms:
+            if isinstance(f, LaplaceEigenfield):
+                eigen[f] = (eigen.get(f, 0.0)
+                            + coeff * f.eigenvalue ** (lap + shift))
+                continue
             closed_form = getattr(f, "sphere_mean", None)
             mean = closed_form(x, radii, lap + shift) if closed_form else None
             if mean is None:
                 return None
             total = total + coeff * mean
+        for f, coeff in eigen.items():
+            total = total + coeff * f.sphere_mean(x, radii)
         return total
 
     def scaled(self, factor: float) -> "FieldSum":

@@ -65,6 +65,10 @@ class ProblemSpec:
             raise DomainError("spatial dimension must be >= 2")
         if self.m < 1:
             raise DomainError("iteration count must be >= 1")
+        if not (math.isfinite(self.gamma_param) and math.isfinite(self.lam)):
+            raise DomainError(
+                f"gamma and lambda must be finite, got gamma={self.gamma_param}, "
+                f"lambda={self.lam}")
         if self.gamma_param <= -0.5:
             raise DomainError("gamma must be > -1/2 so that alpha > 0")
         if self.family not in ("phi", "psi"):

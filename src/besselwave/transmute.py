@@ -151,10 +151,6 @@ def intertwining_gap(p: EKParams, f, bf, m: int, x: float, h: float,
     return abs(lhs - rhs)
 
 
-def default_fd_step(x: float) -> float:
-    return 1e-4 * max(1.0, abs(x))
-
-
 @dataclass(frozen=True)
 class RecurrenceTable:
     """Exact-rational constants a_mj, b_mj of the derivative identities.

@@ -176,6 +176,32 @@ class TestSolveCommand:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert key in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("problem.gamma", "inf"),
+        ("problem.gamma", "nan"),
+        ("problem.lambda", "nan"),
+        ("problem.lambda", "inf"),
+        ("grid.t", "nan"),
+        ("grid.t", "inf"),
+        ("grid.x", "0.3 nan 0.45"),
+        ("data.phi0", "planewave:k=nan 0 0"),
+        ("data.phi0", "planewave:k=1 0 0,phase=inf"),
+        ("data.phi0", "planewave:k=1 0 0,phase=abc"),
+        ("data.phi0", "gaussian:width=nan,center=0 0 0"),
+        ("data.phi0", "polynomial:c(2 0 0)=inf"),
+        ("data.phi0", "polynomial:c(x 0 0)=1"),
+        ("verify.tolerance", "nan"),
+        ("verify.fd_step", "inf"),
+        ("verify.t0", "inf"),
+    ])
+    def test_non_finite_or_malformed_input_exit_1(self, tmp_path, capsys,
+                                                  key, value):
+        text = GOOD_CONFIG.replace(f"{key} = ", "# ") + f"{key} = {value}\n"
+        cfg = self.write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+
     @pytest.mark.parametrize("n, k", [
         (4, "0.5 -0.5 0.5 0.5"),
         (5, "0.6 -0.4 0.2 0.4 0.5291502622129181"),

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import besselwave.fields as fields_mod
 from besselwave.errors import CapabilityError, DomainError
 from besselwave.fields import (FieldSum, GaussianField, PlaneWaveField,
                                PolynomialField, SineProductField, SmoothField,
@@ -186,6 +188,50 @@ class TestSphereMean:
         split = (1.5 * pw.sphere_mean(x, radii)
                  + 0.5 * sphere_means_many(Opaque(), x, radii, rule))
         assert np.allclose(means, split, rtol=1e-12, atol=1e-14)
+
+    def _term_by_term(self, fs, x, radii, lap):
+        terms = [c * f.sphere_mean(x, radii, lap + s) for c, s, f in fs.terms]
+        return np.sum(terms, axis=0), np.sum(np.abs(terms), axis=0)
+
+    @pytest.mark.parametrize("lap", [0, 1, 2])
+    def test_field_sum_merges_eigenfield_terms(self, monkeypatch, lap):
+        # the acceptance-03 reduced data: f[1] holds phi0 twice
+        phi0 = PlaneWaveField(np.array([0.6, -0.5, 0.6244997998398398]))
+        phi1 = PlaneWaveField(np.array([0.2, 0.3, -0.1]), phase=0.4,
+                              amplitude=0.8)
+        g = GaussianField(0.7, np.array([0.1, -0.2, 0.0]))
+        data = build_transformed_data([phi0, phi1], [], 2, 0.5, 0.75)
+        x, radii = np.array([0.3, -0.2, 0.45]), np.linspace(0.0, 2.5, 11)
+        for fs in (data.f[1], FieldSum([(1.5, 0, phi0), (-0.5, 0, g),
+                                        (2.0, 1, phi0), (0.3, 2, phi0)])):
+            expected, scale = self._term_by_term(fs, x, radii, lap)
+            assert np.all(np.abs(fs.sphere_mean(x, radii, lap) - expected)
+                          <= 1e-14 * scale)
+
+        calls = []
+        kernel = fields_mod.bessel_clifford
+        monkeypatch.setattr(fields_mod, "bessel_clifford",
+                            lambda *a, **k: calls.append(a) or kernel(*a, **k))
+        data.f[1].sphere_mean(x, radii, lap)
+        assert len(calls) == 2  # one per base eigenfield, phi0 and phi1
+
+
+class TestDampedIbar:
+    @settings(max_examples=80, deadline=None)
+    @given(mu=st.floats(-1.0, 4.0, exclude_min=True),
+           a=st.floats(0.01, 2.0), d=st.floats(0.0, 3.0),
+           radii=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5))
+    def test_matches_hyp0f1(self, mu, a, d, radii):
+        # the arguments GaussianField.sphere_mean passes: z = 2 a d r,
+        # damp = a r^2; z spans the series branch and the scaled-I_nu one
+        r = np.array(radii)
+        z, damp = 2.0 * a * d * r, a * r * r
+        got = fields_mod._damped_ibar(mu, z, damp)
+        with mp.workdps(30):
+            for zi, di, value in zip(z, damp, got):
+                ref = mp.exp(-mp.mpf(di)) * mp.hyp0f1(mp.mpf(mu) + 1,
+                                                      (mp.mpf(zi) / 2) ** 2)
+                assert abs(value - float(ref)) <= 1e-13 * float(ref)
 
 
 class TestCoefficientA:

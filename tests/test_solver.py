@@ -49,6 +49,13 @@ class TestProblemSpec:
         with pytest.raises(DomainError):
             ProblemSpec(n=3, m=2, gamma_param=0.5, lam=0.0, fields=(pw,))
 
+    @pytest.mark.parametrize("gamma_param, lam", [
+        (math.inf, 0.5), (math.nan, 0.5), (0.5, math.nan), (0.5, -math.inf)])
+    def test_non_finite_parameters(self, gamma_param, lam):
+        with pytest.raises(DomainError):
+            ProblemSpec(n=3, m=1, gamma_param=gamma_param, lam=lam,
+                        fields=(PlaneWaveField(K3),))
+
     def test_transformed_data_is_phi_only(self):
         spec = ProblemSpec(n=3, m=1, gamma_param=-0.3, lam=0.0, family="psi",
                            fields=(PlaneWaveField(K3),))

@@ -1,13 +1,26 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from besselwave.errors import AccuracyError, DomainError
-from besselwave.special import (BesselCliffordParams, bessel_clifford,
-                                double_factorial_odd, gamma, pochhammer,
-                                solution_consts, sphere_area_const)
+from besselwave.special import (SERIES_CUTOFF, BesselCliffordParams,
+                                bessel_clifford, double_factorial_odd, gamma,
+                                pochhammer, solution_consts, sphere_area_const)
+
+
+def _jbar_reference(nu, z):
+    """jbar(nu, z) = 0F1(; nu+1; -z^2/4) in 30-digit arithmetic."""
+    with mp.workdps(30):
+        return float(mp.hyp0f1(mp.mpf(nu) + 1, -(mp.mpf(float(z)) / 2) ** 2))
+
+
+def _kernel_bound(z):
+    # series branch: cancellation leaves ~eps x the largest term (~1e4 at
+    # nu = -0.9, |z| = 8); jv branch: scaled J_nu
+    return 2e-12 if abs(z) <= SERIES_CUTOFF else 1e-12
 
 
 class TestBesselClifford:
@@ -62,6 +75,53 @@ class TestBesselClifford:
             BesselCliffordParams(order=0.0, max_terms=0)
         with pytest.raises(DomainError):
             BesselCliffordParams(order=0.0, term_tolerance=0.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                                   np.array([0.5, math.nan, 3.0])])
+    def test_non_finite_argument(self, z):
+        with pytest.raises(DomainError):
+            bessel_clifford(0.5, z)
+        with pytest.raises(DomainError):
+            bessel_clifford(0.5, z, params=BesselCliffordParams(order=0.5))
+
+    def test_non_finite_order(self):
+        for nu in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                bessel_clifford(nu, 1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(nu=st.floats(-0.9, 4.0),
+           zs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6))
+    @example(nu=-0.9, zs=[SERIES_CUTOFF, np.nextafter(SERIES_CUTOFF, 9.0),
+                          7.9, 0.0, 1e-9])
+    @example(nu=4.0, zs=[50.0, -8.0, 3.0])
+    def test_matches_hyp0f1(self, nu, zs):
+        # one array mixes both branches, and the series term count comes
+        # from its largest |z|
+        got = bessel_clifford(nu, np.array(zs))
+        for z, value in zip(zs, got):
+            assert abs(value - _jbar_reference(nu, z)) <= _kernel_bound(z)
+        assert bessel_clifford(nu, zs[0]) == got[0]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "as nu -> -1, jbar and its largest series term grow like 1/(nu+1), "
+        "so both branches miss the absolute bound (about 9e-11 series, "
+        "1.5e-10 jv at nu = -0.999)"))
+    def test_matches_hyp0f1_near_order_minus_one(self):
+        nu = -0.999
+        zs = np.linspace(0.0, 50.0, 501)
+        got = bessel_clifford(nu, zs)
+        errors = [abs(v - _jbar_reference(nu, z)) - _kernel_bound(z)
+                  for z, v in zip(zs, got)]
+        assert max(errors) <= 0.0
+
+    def test_explicit_params_force_the_series(self):
+        # past the cutoff the series loses digits to cancellation (largest
+        # term ~1e3 at |z| = 12) but stays far inside 1e-11
+        z = np.linspace(8.0, 12.0, 9)
+        got = bessel_clifford(0.3, z, params=BesselCliffordParams(order=0.3))
+        for zi, value in zip(z, got):
+            assert abs(value - _jbar_reference(0.3, zi)) <= 1e-11
 
 
 class TestPochhammer:
