@@ -40,8 +40,7 @@ _KNOWN_KEYS = {
     "problem.family",
     "grid.x", "grid.t",
     "quadrature.radial_order", "quadrature.sphere_order",
-    "verify.fd_step", "verify.richardson_levels", "verify.probes",
-    "verify.tolerance", "verify.t0",
+    "verify.fd_step", "verify.probes", "verify.tolerance", "verify.t0",
     "output.csv", "output.precision",
     "operators.m_max",
     "convergence.orders",
@@ -213,7 +212,6 @@ def parse_config(text: str) -> RunConfig:
 
     verify_opts = {
         "fd_step": _number(raw, "verify.fd_step", "1e-3"),
-        "richardson_levels": _number(raw, "verify.richardson_levels", "3", int),
         "probes": _number(raw, "verify.probes", "5", int),
         "tolerance": _number(raw, "verify.tolerance", "1e-4"),
         "t0": _number(raw, "verify.t0", "0.1"),

@@ -272,7 +272,11 @@ def _damped_ibar(mu: float, z: np.ndarray, damp: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FieldSum(SmoothField):
-    """Linear combination sum_i c_i * Laplacian^{s_i} f_i, itself a field."""
+    """Linear combination sum_i c_i * Laplacian^{s_i} f_i, itself a field.
+
+    A term whose field is itself a FieldSum is replaced by that sum's
+    terms (c * c_j, s + s_j, f_j), so the terms are always leaf fields.
+    """
 
     terms: list  # list of (coeff, lap_shift, SmoothField)
     dimension: int = 0
@@ -280,6 +284,13 @@ class FieldSum(SmoothField):
     def __post_init__(self):
         if self.terms and not self.dimension:
             self.dimension = self.terms[0][2].dimension
+        flat = []
+        for coeff, shift, f in self.terms:
+            if isinstance(f, FieldSum):
+                flat.extend((coeff * c, shift + s, g) for c, s, g in f.terms)
+            else:
+                flat.append((coeff, shift, f))
+        self.terms = flat
 
     def eval(self, points, lap=0):
         points = np.atleast_2d(np.asarray(points, dtype=float))

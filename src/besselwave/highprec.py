@@ -54,7 +54,7 @@ class HighPrecEvaluator:
 
     def __init__(self, spec, radial_order: int = 32, dps: int = 30):
         from .solver import transformed_data
-        from .special import odd_product_upto
+        from .special import double_factorial_odd
         if spec.n % 2 == 0 or spec.family != "phi":
             raise CapabilityError(
                 "extended-precision path implements the odd-dimension "
@@ -67,7 +67,8 @@ class HighPrecEvaluator:
         self.q = (n - 1) // 2
         self.n = n
         omega_n = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
-        self.const = 2 / (odd_product_upto(n - 2) * omega_n * mp.gamma(alpha))
+        self.const = 2 / (double_factorial_odd(n // 2) * omega_n
+                          * mp.gamma(alpha))
         self.alpha = alpha
         self.omega_n = omega_n
         data = transformed_data(spec)

@@ -12,18 +12,10 @@ data problem:
 
 Both must agree; their gap is the package's core verification quantity.
 
-A note on constants: carrying the transmutation operator's leading
-factor 2/Gamma(alpha) through the derivation consistently requires the
-odd-dimension closed form to carry twice the constant
-
-    1 / (1*3*...*(n-2) * omega_n * Gamma(alpha)),
-
-and the even-dimension constant follows from descent as
-
-    2 sqrt(pi) / (1*3*...*(n-1) * omega_{n+1} * Gamma(alpha + 1/2)).
-
-Both are validated here by the two-path consistency checks and by the
-t -> 0 recovery of the initial data.
+The solution constants and weights of every route come from one table,
+``wave.ball_series_constants``, whose docstring derives them.  They are
+validated here by the two-path consistency checks and by the t -> 0
+recovery of the initial data.
 """
 
 from __future__ import annotations
@@ -36,12 +28,11 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .fields import (TransformedData, build_psi_star_data,
                      build_transformed_data, psi_star_from_psi)
-from .quadrature import (SphereRule, ball_kernel_integral_many,
-                         make_radial_rule)
-from .special import gamma, odd_product_upto, pochhammer, sphere_area_const
+from .quadrature import make_radial_rule
+from .special import pochhammer
 from .transmute import EKParams, bessel_op_apply, lowndes_apply_many
-from .wave import (PolyWaveProblem, RuleSet, polywave_solve_even_many,
-                   polywave_solve_odd_many, radial_time_operator)
+from .wave import (PolyWaveProblem, RuleSet, ball_series,
+                   polywave_solve_even_many, polywave_solve_odd_many)
 
 
 @dataclass(frozen=True)
@@ -88,33 +79,6 @@ def transformed_data(spec: ProblemSpec) -> TransformedData:
                                   spec.alpha)
 
 
-def _ball_series_eval(fields, x, tvals, n, lam, base_exp, weights, q,
-                      t_power, const, rules: RuleSet) -> np.ndarray:
-    """Common core of all closed-form evaluations:
-
-        const * t^t_power * sum_k weights[k] * (1/t d/dt)^q
-            int_{|xi-x|<t} (t^2-rho^2)^{base_exp+k}
-                           jbar(base_exp+k, lam sqrt(t^2-rho^2)) fields[k] dxi
-    """
-    tvals = np.asarray(tvals, dtype=float)
-    sphere = SphereRule(n, rules.sphere_order)
-    total = np.zeros_like(tvals)
-    for k, fld in enumerate(fields):
-        if not fld.terms:
-            continue
-        exp_k = base_exp + k
-        radial = make_radial_rule(exp_k, rules.radial_order)
-
-        def ball(ts, fld=fld, exp_k=exp_k, radial=radial):
-            return ball_kernel_integral_many(
-                fld, x, np.asarray(ts, dtype=float), exp_k, exp_k, lam,
-                radial, sphere)
-
-        op = radial_time_operator(ball, q, rules.fd_step_rel, rules.richardson)
-        total += weights[k] * op(tvals)
-    return const * tvals ** t_power * total
-
-
 def solve_point_odd(spec: ProblemSpec, x, t: float,
                     rules: RuleSet | None = None) -> float:
     return float(solve_profile_odd(spec, x, np.array([t]), rules)[0])
@@ -125,17 +89,11 @@ def solve_profile_odd(spec: ProblemSpec, x, tvals, rules: RuleSet | None = None,
     """Odd-dimension closed form, vectorised over t > 0."""
     if spec.n % 2 == 0 or spec.n < 3:
         raise ContractError(f"odd-dimension formula needs odd n >= 3, got n={spec.n}")
-    rules = rules or RuleSet()
     alpha = spec.alpha
     if data is None:
         data = transformed_data(spec)
-    weights = [2.0 ** (-2 * k) / (math.factorial(k) * pochhammer(alpha, k))
-               for k in range(spec.m)]
-    const = 2.0 / (odd_product_upto(spec.n - 2) * sphere_area_const(spec.n)
-                   * gamma(alpha))
-    return _ball_series_eval(data.f, x, tvals, spec.n, spec.lam,
-                             alpha - 1.0, weights, (spec.n - 1) // 2,
-                             1.0 - 2.0 * alpha, const, rules)
+    return ball_series(data.f, x, tvals, spec.n, alpha - 1.0, spec.lam,
+                       spec.n // 2, 1.0 - 2.0 * alpha, rules or RuleSet())
 
 
 def solve_point_even(spec: ProblemSpec, x, t: float,
@@ -148,18 +106,11 @@ def solve_profile_even(spec: ProblemSpec, x, tvals, rules: RuleSet | None = None
     """Even-dimension closed form (descent of the odd one), vectorised."""
     if spec.n % 2:
         raise ContractError(f"even-dimension formula needs even n, got n={spec.n}")
-    rules = rules or RuleSet()
     alpha = spec.alpha
     if data is None:
         data = transformed_data(spec)
-    weights = [2.0 ** (-2 * k) / (math.factorial(k) * pochhammer(alpha + 0.5, k))
-               for k in range(spec.m)]
-    const = (2.0 * math.sqrt(math.pi)
-             / (odd_product_upto(spec.n - 1) * sphere_area_const(spec.n + 1)
-                * gamma(alpha + 0.5)))
-    return _ball_series_eval(data.f, x, tvals, spec.n, spec.lam,
-                             alpha - 0.5, weights, spec.n // 2,
-                             1.0 - 2.0 * alpha, const, rules)
+    return ball_series(data.f, x, tvals, spec.n, alpha - 0.5, spec.lam,
+                       spec.n // 2, 1.0 - 2.0 * alpha, rules or RuleSet())
 
 
 def solve_point_transmutation(spec: ProblemSpec, x, t: float,
@@ -224,24 +175,9 @@ def solve_profile_psi(spec: ProblemSpec, x, tvals, rules: RuleSet | None = None,
             u1 = solve_profile_even(comp, x, tvals, rules, data=data)
         return tvals ** (1.0 - 2.0 * alpha) * u1
     if method == "direct":
-        if spec.n % 2:
-            weights = [2.0 ** (-2 * k) / (math.factorial(k)
-                                          * pochhammer(alpha_c, k))
-                       for k in range(spec.m)]
-            const = 2.0 / (odd_product_upto(spec.n - 2)
-                           * sphere_area_const(spec.n) * gamma(alpha_c))
-            return _ball_series_eval(data.f, x, tvals, spec.n, spec.lam,
-                                     -alpha, weights, (spec.n - 1) // 2,
-                                     0.0, const, rules)
-        weights = [2.0 ** (-2 * k) / (math.factorial(k)
-                                      * pochhammer(alpha_c + 0.5, k))
-                   for k in range(spec.m)]
-        const = (2.0 * math.sqrt(math.pi)
-                 / (odd_product_upto(spec.n - 1)
-                    * sphere_area_const(spec.n + 1) * gamma(alpha_c + 0.5)))
-        return _ball_series_eval(data.f, x, tvals, spec.n, spec.lam,
-                                 0.5 - alpha, weights, spec.n // 2,
-                                 0.0, const, rules)
+        beta0 = -alpha if spec.n % 2 else 0.5 - alpha
+        return ball_series(data.f, x, tvals, spec.n, beta0, spec.lam,
+                           spec.n // 2, 0.0, rules)
     raise DomainError(f"unknown psi-problem method {method!r}")
 
 

@@ -174,44 +174,8 @@ def double_factorial_odd(p: int) -> int:
     return result
 
 
-def _stride_product(start: int, stop: int) -> int:
-    """Product start*(start+2)*...*stop (step 2); empty product is 1."""
-    result = 1
-    for j in range(start, stop + 1, 2):
-        result *= j
-    return result
-
-
 def sphere_area_const(n: int) -> float:
     """Surface area of the unit sphere in R^n: omega_n = 2 pi^(n/2) / Gamma(n/2)."""
     if n < 1:
         raise DomainError("dimension must be >= 1")
     return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
-
-
-def solution_consts(n: int, alpha: float) -> tuple[float, float, float]:
-    """Leading constants of the explicit solution formulas for dimension n.
-
-    Returns (gamma_n, gbar_n, gtilde_n):
-      gamma_n  = 1 / (1*3*...*(n-2) * omega_n)
-      gbar_n   = 1 / (1*3*...*(n-2) * omega_n * Gamma(alpha))
-      gtilde_n = 1 / (omega_{n+1} * 2*4*...*(n-1))
-    The odd product runs over odd integers <= n-2 and the even product
-    over even integers <= n-1; both degenerate to 1 when empty.
-    """
-    if n < 2:
-        raise DomainError("solution constants need n >= 2")
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
-    odd_prod = _stride_product(1, n - 2)
-    even_prod = _stride_product(2, n - 1)
-    g_n = 1.0 / (odd_prod * sphere_area_const(n))
-    gbar_n = g_n / gamma(alpha)
-    gtilde_n = 1.0 / (sphere_area_const(n + 1) * even_prod)
-    return g_n, gbar_n, gtilde_n
-
-
-def odd_product_upto(k: int) -> int:
-    """Product of odd integers <= k (empty product 1); helper for the
-    calibrated even-dimension constants."""
-    return _stride_product(1, k)

@@ -88,25 +88,7 @@ def erdelyi_kober_apply(f, eta: float, alpha: float, x: float,
 def bessel_op_apply(f, eta: float, m: int, x: float, h: float) -> float:
     """Numeric [d^2/dt^2 + ((2 eta + 1)/t) d/dt]^m f(x) by nested central
     differences of step h; O(h^2) accurate.  Requires x > m*h."""
-    if m < 0:
-        raise DomainError("operator power must be non-negative")
-    if h <= 0.0:
-        raise DomainError("step must be positive")
-    if m > 0 and x <= m * h:
-        raise ContractError(f"stencil of half-width {m * h} leaves t > 0 at x={x}")
-
-    def apply_once(g):
-        def bg(t):
-            t = np.asarray(t, dtype=float)
-            up, um, u0 = g(t + h), g(t - h), g(t)
-            return (up - 2.0 * u0 + um) / h ** 2 \
-                + (2.0 * eta + 1.0) / t * (up - um) / (2.0 * h)
-        return bg
-
-    g = f
-    for _ in range(m):
-        g = apply_once(g)
-    return float(np.asarray(g(np.asarray(x, dtype=float))).reshape(-1)[0])
+    return shifted_bessel_apply(f, eta, 0.0, m, x, h)
 
 
 def shifted_bessel_apply(f, eta: float, lam: float, m: int, x: float,

@@ -1,21 +1,21 @@
-"""Iterated wave equation layer: spherical-mean reduction, the 1-D
-closed form for the reduced system, and the explicit Cauchy solutions in
-odd and even dimension.
+"""Ball-series core shared by every solution route, and the iterated
+plain-wave solvers built on it.
 
-The outer radial-time operators (1/t d/dt)^q and d/dt are applied by
-central finite differences with one Richardson level.  The inner ball
-integrals are smooth functions of t after the r = t*s substitution, so
-the differences see a smooth integrand and converge at order 4 with the
-Richardson step.
+Every explicit solution in the package is one weighted series of ball
+integrals,
 
-The even-dimension formula is obtained from the odd one by descent from
-dimension n+1; carrying the descent through the k-sum fixes the leading
-constant to
+    const * t^p * sum_k w_k (1/t d/dt)^q
+        int_{|xi-x|<t} (t^2-rho^2)^{beta0+k}
+                       jbar(beta0+k, lam sqrt(t^2-rho^2)) f_k(xi) dxi,
 
-    2 sqrt(pi) / (1*3*...*(n-1) * omega_{n+1}),
+with q = n // 2 and (w_k, const) from ``ball_series_constants``.  The
+closed forms, the weighted-data ("psi") direct formula and the iterated
+plain-wave solvers differ only in beta0, lam, p and the data f_k.
 
-which is the value used here (see the package docs for the derivation;
-the per-k weights Gamma(k+1/2)^{-1} / (2^{2k} k!) are unchanged).
+The outer radial-time operator (1/t d/dt)^q is applied by central finite
+differences with one Richardson level.  The inner ball integrals are
+smooth functions of t after the r = t*s substitution, so the differences
+see a smooth integrand and converge at order 4 with the Richardson step.
 """
 
 from __future__ import annotations
@@ -24,28 +24,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import rgamma
 
 from .errors import ContractError, DomainError
 from .fields import TransformedData
 from .quadrature import (SphereRule, ball_kernel_integral_many,
                          make_radial_rule, sphere_means_many)
-from .special import gamma, odd_product_upto, sphere_area_const
-from .transmute import lemma1_constants
+from .special import double_factorial_odd, sphere_area_const
 
 _TINY_T = 1e-30
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Quadrature orders and finite-difference settings shared by all
+    """Quadrature orders and the finite-difference step shared by all
     point evaluations."""
 
     radial_order: int = 48
     sphere_order: int = 24
     fd_step_rel: float = 1e-4
-    richardson: bool = True
-    line_order: int = 64  # Gauss-Legendre order for 1-D interval integrals
 
 
 @dataclass(frozen=True)
@@ -66,37 +63,72 @@ class PolyWaveProblem:
             raise ContractError("transformed data length does not match m")
 
 
-def time_derivative(g, rel_h: float, richardson: bool = True):
+def time_derivative(g, rel_h: float):
     """d/dt of a vectorised function of a t-array, by central differences
-    with step rel_h * t and an optional Richardson level."""
+    with step rel_h * t and one Richardson level."""
 
     def dg(tvals: np.ndarray) -> np.ndarray:
         tvals = np.asarray(tvals, dtype=float)
         h = rel_h * np.maximum(np.abs(tvals), _TINY_T)
-        if richardson:
-            stacked = np.concatenate(
-                [tvals + h, tvals - h, tvals + h / 2, tvals - h / 2])
-            vp, vm, vp2, vm2 = np.split(g(stacked), 4)
-            d_h = (vp - vm) / (2.0 * h)
-            d_h2 = (vp2 - vm2) / h
-            return (4.0 * d_h2 - d_h) / 3.0
-        stacked = np.concatenate([tvals + h, tvals - h])
-        vp, vm = np.split(g(stacked), 2)
-        return (vp - vm) / (2.0 * h)
+        stacked = np.concatenate(
+            [tvals + h, tvals - h, tvals + h / 2, tvals - h / 2])
+        vp, vm, vp2, vm2 = np.split(g(stacked), 4)
+        d_h = (vp - vm) / (2.0 * h)
+        d_h2 = (vp2 - vm2) / h
+        return (4.0 * d_h2 - d_h) / 3.0
 
     return dg
 
 
-def radial_time_operator(g, q: int, rel_h: float, richardson: bool = True,
-                         extra_derivative: bool = False):
-    """(d/dt)^{e} (1/t d/dt)^q applied to a vectorised g, e in {0, 1}."""
+def radial_time_operator(g, q: int, rel_h: float):
+    """(1/t d/dt)^q applied to a vectorised g."""
     out = g
     for _ in range(q):
-        inner = time_derivative(out, rel_h, richardson)
+        inner = time_derivative(out, rel_h)
         out = (lambda f: (lambda T: f(T) / np.asarray(T, dtype=float)))(inner)
-    if extra_derivative:
-        out = time_derivative(out, rel_h, richardson)
     return out
+
+
+def ball_series_constants(n: int, beta0: float, m: int) -> tuple[list, float]:
+    """Weights w_0..w_{m-1} and leading constant of the ball series:
+
+        w_k = 2^{-2k} / (k! Gamma(beta0 + 1 + k)),
+        const = c / ((2p-1)!! omega),   p = n // 2,
+
+    with (c, omega) = (2, omega_n) for odd n and (2 sqrt(pi), omega_{n+1})
+    for even n.  1/Gamma is 0 at its poles, so w_0 = 0 for beta0 = -1.
+
+    Derivation.  The iterated plain-wave solution (the transformed-data
+    problem) is the alpha -> 0 case of the closed form: beta0 = alpha - 1
+    -> -1 and t^{1-2 alpha} -> t.  For odd n its k = 0 term on g-data is
+    Kirchhoff's formula
+
+        1/((n-2)!! omega_n) (1/t d/dt)^{(n-3)/2} (1/t) int_{S(x,t)} g dS.
+
+    As beta -> -1 the kernel (t^2-rho^2)_+^beta / Gamma(beta+1) tends to
+    delta(t^2-rho^2), whose ball integral is (1/2t) int_{S(x,t)}: half the
+    surface term, so c = 2 (``ball_series`` evaluates this limit for the
+    term with beta0 + k = -1).  At alpha > 0 the transmutation operator's
+    leading factor 2/Gamma(alpha) gives the same c = 2, and
+    Gamma(alpha + k) = Gamma(alpha) (alpha)_k moves the 1/Gamma(alpha) into
+    the weights.  Even n follows by descent from dimension n + 1:
+    integrating the kernel over the extra coordinate,
+
+        int_{-a}^{a} (a^2-s^2)^beta ds
+            = sqrt(pi) Gamma(beta+1) / Gamma(beta+3/2) a^{2 beta+1},
+
+    shifts beta0 by 1/2 and brings the factor sqrt(pi); (n-1)!! and
+    omega_{n+1} are the constants of dimension n + 1, whose q is also
+    n // 2.
+    """
+    p = n // 2
+    if n % 2:
+        c, omega = 2.0, sphere_area_const(n)
+    else:
+        c, omega = 2.0 * math.sqrt(math.pi), sphere_area_const(n + 1)
+    weights = [2.0 ** (-2 * k) / math.factorial(k) * rgamma(beta0 + 1.0 + k)
+               for k in range(m)]
+    return weights, c / (double_factorial_odd(p) * omega)
 
 
 def _surface_term(field, x, n: int, sphere):
@@ -114,14 +146,47 @@ def _surface_term(field, x, n: int, sphere):
     return g
 
 
-def _ball_term(field, x, beta: float, sphere, radial_order: int):
-    radial = make_radial_rule(beta, radial_order)
+def ball_series(fields, x, tvals, n: int, beta0: float, lam: float, q: int,
+                t_power: float, rules: RuleSet) -> np.ndarray:
+    """const * t^t_power * sum_k w_k (1/t d/dt)^q of the ball integral of
+    fields[k] against (t^2-rho^2)^{beta0+k} jbar(beta0+k, lam sqrt(t^2-rho^2)),
+    with (w_k, const) = ball_series_constants(n, beta0, len(fields)).
 
-    def g(tvals: np.ndarray) -> np.ndarray:
-        return ball_kernel_integral_many(field, x, np.asarray(tvals, dtype=float),
-                                         beta, 0.0, 0.0, radial, sphere)
+    At lam = 0 the term with beta0 + k = -1 has weight 1/Gamma(0) = 0 on a
+    divergent integral; it is replaced by its limit, 1/2 times the
+    Kirchhoff surface term (see ``ball_series_constants``).  At lam != 0
+    the kernel's higher Bessel terms leave a ball integral in that limit,
+    and the radial rule refuses beta = -1.
+    """
+    tvals = np.asarray(tvals, dtype=float)
+    weights, const = ball_series_constants(n, beta0, len(fields))
+    sphere = SphereRule(n, rules.sphere_order)
+    total = np.zeros_like(tvals)
+    for k, (weight, fld) in enumerate(zip(weights, fields)):
+        if not fld.terms:
+            continue
+        beta = beta0 + k
+        if beta == -1.0 and lam == 0.0:
+            weight, inner = 0.5, _surface_term(fld, x, n, sphere)
+        else:
+            radial = make_radial_rule(beta, rules.radial_order)
 
-    return g
+            def inner(ts, fld=fld, beta=beta, radial=radial):
+                return ball_kernel_integral_many(
+                    fld, x, np.asarray(ts, dtype=float), beta, beta, lam,
+                    radial, sphere)
+
+        total += weight * radial_time_operator(inner, q, rules.fd_step_rel)(tvals)
+    return const * tvals ** t_power * total
+
+
+def _polywave(x, tvals, problem: PolyWaveProblem, rules: RuleSet,
+              beta0: float) -> np.ndarray:
+    # d/dt (1/t d/dt)^{q-1} = t (1/t d/dt)^q on the f-data, and
+    # (1/t d/dt)^{q-1} on the g-data
+    n, data, q = problem.n, problem.data, problem.n // 2
+    return (ball_series(data.f, x, tvals, n, beta0, 0.0, q, 1.0, rules)
+            + ball_series(data.g, x, tvals, n, beta0, 0.0, q - 1, 0.0, rules))
 
 
 def polywave_solve_odd(x, t, problem: PolyWaveProblem, rules: RuleSet) -> float:
@@ -130,178 +195,17 @@ def polywave_solve_odd(x, t, problem: PolyWaveProblem, rules: RuleSet) -> float:
 
 def polywave_solve_odd_many(x, tvals: np.ndarray, problem: PolyWaveProblem,
                             rules: RuleSet) -> np.ndarray:
-    """Explicit odd-dimension solution: Kirchhoff-type surface term for
-    k = 0 plus weighted ball integrals for 1 <= k <= m-1, under the outer
-    operators d/dt (1/t d/dt)^{(n-3)/2} (f-data) and (1/t d/dt)^{(n-3)/2}
-    (g-data)."""
-    n, m, data = problem.n, problem.m, problem.data
-    if n % 2 == 0 or n < 3:
-        raise ContractError(f"odd-dimension solver called with n={n}")
-    tvals = np.asarray(tvals, dtype=float)
-    q = (n - 3) // 2
-    sphere = SphereRule(n, rules.sphere_order)
-    gamma_n = 1.0 / (odd_product_upto(n - 2) * sphere_area_const(n))
-
-    total = np.zeros_like(tvals)
-    if data.f[0].terms:
-        g0 = _surface_term(data.f[0], x, n, sphere)
-        total += radial_time_operator(g0, q, rules.fd_step_rel,
-                                      rules.richardson, True)(tvals)
-    if data.g[0].terms:
-        h0 = _surface_term(data.g[0], x, n, sphere)
-        total += radial_time_operator(h0, q, rules.fd_step_rel,
-                                      rules.richardson, False)(tvals)
-    for k in range(1, m):
-        coef = 1.0 / (2.0 ** (2 * k - 1) * math.factorial(k - 1) * math.factorial(k))
-        if data.f[k].terms:
-            gk = _ball_term(data.f[k], x, k - 1.0, sphere, rules.radial_order)
-            total += coef * radial_time_operator(
-                gk, q, rules.fd_step_rel, rules.richardson, True)(tvals)
-        if data.g[k].terms:
-            hk = _ball_term(data.g[k], x, k - 1.0, sphere, rules.radial_order)
-            total += coef * radial_time_operator(
-                hk, q, rules.fd_step_rel, rules.richardson, False)(tvals)
-    return gamma_n * total
-
-
-def polywave_solve_even(x, t, problem: PolyWaveProblem, rules: RuleSet) -> float:
-    return float(polywave_solve_even_many(x, np.array([t]), problem, rules)[0])
+    """Explicit odd-dimension solution: the ball series at beta0 = -1,
+    whose k = 0 term is the Kirchhoff surface term."""
+    if problem.n % 2 == 0 or problem.n < 3:
+        raise ContractError(f"odd-dimension solver called with n={problem.n}")
+    return _polywave(x, tvals, problem, rules, -1.0)
 
 
 def polywave_solve_even_many(x, tvals: np.ndarray, problem: PolyWaveProblem,
                              rules: RuleSet) -> np.ndarray:
-    """Even-dimension solution by descent: ball integrals with kernel
-    exponent k - 1/2 under d/dt (1/t d/dt)^{(n-2)/2} (f-data) and
-    (1/t d/dt)^{(n-2)/2} (g-data)."""
-    n, m, data = problem.n, problem.m, problem.data
-    if n % 2 or n < 2:
-        raise ContractError(f"even-dimension solver called with n={n}")
-    tvals = np.asarray(tvals, dtype=float)
-    q = (n - 2) // 2
-    sphere = SphereRule(n, rules.sphere_order)
-    const = 2.0 * math.sqrt(math.pi) / (odd_product_upto(n - 1)
-                                        * sphere_area_const(n + 1))
-
-    total = np.zeros_like(tvals)
-    for k in range(m):
-        coef = 1.0 / (gamma(k + 0.5) * 2.0 ** (2 * k) * math.factorial(k))
-        if data.f[k].terms:
-            gk = _ball_term(data.f[k], x, k - 0.5, sphere, rules.radial_order)
-            total += coef * radial_time_operator(
-                gk, q, rules.fd_step_rel, rules.richardson, True)(tvals)
-        if data.g[k].terms:
-            hk = _ball_term(data.g[k], x, k - 0.5, sphere, rules.radial_order)
-            total += coef * radial_time_operator(
-                hk, q, rules.fd_step_rel, rules.richardson, False)(tvals)
-    return const * total
-
-
-class OddExtension:
-    """Antisymmetric continuation of a half-line profile to r < 0."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.sign(r) * self.base(np.abs(r))
-
-
-def radial_profile(field, x, n: int, rules: RuleSet, deriv_step: float = 1e-3):
-    """Odd profile (1/r d/dr)^{p-1} (r^{2p-1} F(x, r)) of the sphere mean
-    F of a field, for n = 2p+1, via the exact radial constants and
-    central-difference derivatives of F."""
-    if n % 2 == 0:
-        raise DomainError("radial profiles are defined for odd n")
-    p = (n - 1) // 2
-    consts = lemma1_constants(p)
-    sphere = SphereRule(n, rules.sphere_order)
-
-    def mean(r):
-        return sphere_means_many(field, x, np.asarray(r, dtype=float), sphere)
-
-    def base(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for j, a_j in enumerate(consts):
-            if j == 0:
-                dj = mean(r)
-            else:
-                # j-th central difference of the (even) sphere mean
-                h = deriv_step
-                offsets = np.arange(-j, j + 1, 2)
-                coeffs = np.array([math.comb(j, i) * (-1.0) ** (j - i)
-                                   for i in range(j + 1)])
-                pts = np.abs(r[:, None] + h * offsets[None, :])
-                vals = mean(pts.reshape(-1)).reshape(pts.shape)
-                dj = vals @ coeffs / h ** j
-            out += a_j * r ** (j + 1) * dj
-        return out
-
-    return OddExtension(base)
-
-
-def iterated_wave_1d(phi_profiles: list, psi_profiles: list, m: int,
-                     t: float, r: float, rules: RuleSet) -> float:
-    """1-D iterated-wave closed form on the line for odd data profiles:
-
-        W(t, r) = (1/2)[Phi_0(r+t) + Phi_0(r-t)] + (1/2) int Psi_0
-                + sum_{k>=1} (2^{2k+1} (k!)^2)^{-1}
-                    [ d/dt int (t^2-(r-s)^2)^k Phi_k + int ... Psi_k ].
-
-    Profiles must already be odd-extended callables on the whole line.
-    """
-    nodes, weights = roots_legendre(rules.line_order)
-
-    def line_integral(prof, k: int, tv: float) -> float:
-        # split at s = 0: the odd extension is C^0 but may kink there
-        total = 0.0
-        lo, hi = r - tv, r + tv
-        cuts = sorted({lo, min(max(0.0, lo), hi), hi})
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b <= a:
-                continue
-            s = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            vals = prof(s)
-            if k:
-                vals = vals * (tv ** 2 - (r - s) ** 2) ** k
-            total += 0.5 * (b - a) * float(np.dot(weights, vals))
-        return total
-
-    w = 0.5 * (float(phi_profiles[0](np.array([r + t]))[0])
-               + float(phi_profiles[0](np.array([r - t]))[0]))
-    w += 0.5 * line_integral(psi_profiles[0], 0, t)
-    for k in range(1, m):
-        coef = 1.0 / (2.0 ** (2 * k + 1) * math.factorial(k) ** 2)
-
-        def phi_int(tarr, k=k):
-            tarr = np.atleast_1d(np.asarray(tarr, dtype=float))
-            return np.array([line_integral(phi_profiles[k], k, tv)
-                             for tv in tarr])
-
-        dphi = time_derivative(phi_int, rules.fd_step_rel, rules.richardson)
-        w += coef * float(dphi(np.array([t]))[0])
-        w += coef * line_integral(psi_profiles[k], k, t)
-    return w
-
-
-def w0_closed_form(x, t: float, r: float, problem: PolyWaveProblem,
-                   rules: RuleSet) -> float:
-    """Reduced 1-D solution W_0(x, t, r) built from sphere-mean profiles
-    of the transformed data; W_0(x, t, 0) = 0 by oddness."""
-    phi_profiles = [radial_profile(f, x, problem.n, rules)
-                    for f in problem.data.f]
-    psi_profiles = [radial_profile(g, x, problem.n, rules)
-                    for g in problem.data.g]
-    return iterated_wave_1d(phi_profiles, psi_profiles, problem.m, t, r, rules)
-
-
-def polywave_limit_from_w0(x, t: float, problem: PolyWaveProblem,
-                           rules: RuleSet, r0: float = 1e-2) -> float:
-    """Direct reconstruction U(x, t) = lim_{r->0} W_0 / (A_0^p r), by
-    Richardson extrapolation over r in {r0, r0/2} (the ratio is even in r)."""
-    p = (problem.n - 1) // 2
-    a0 = float(lemma1_constants(p)[0])
-    v1 = w0_closed_form(x, t, r0, problem, rules) / (a0 * r0)
-    v2 = w0_closed_form(x, t, r0 / 2.0, problem, rules) / (a0 * r0 / 2.0)
-    return (4.0 * v2 - v1) / 3.0
+    """Even-dimension solution by descent: the ball series at
+    beta0 = -1/2."""
+    if problem.n % 2 or problem.n < 2:
+        raise ContractError(f"even-dimension solver called with n={problem.n}")
+    return _polywave(x, tvals, problem, rules, -0.5)

@@ -176,6 +176,17 @@ class TestSolveCommand:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert key in err
 
+    def test_ignored_richardson_levels_key_exit_1(self, tmp_path, capsys):
+        # nothing reads verify.richardson_levels, so even a valid value is
+        # refused as an unknown key instead of being silently ignored
+        cfg = self.write_config(tmp_path, GOOD_CONFIG
+                                + "verify.richardson_levels = 3\n")
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: unknown config keys")
+        assert "verify.richardson_levels" in err
+
     @pytest.mark.parametrize("key, value", [
         ("problem.gamma", "inf"),
         ("problem.gamma", "nan"),
@@ -240,11 +251,13 @@ class TestVerifyCommand:
         assert "two_path_gap" in out
 
     def test_corrupted_solution_exit_3(self, tmp_path, capsys, monkeypatch):
-        # skew the direct-path constant so the two paths disagree
-        import besselwave.solver as solver_mod
-        real_gamma = solver_mod.gamma
-        monkeypatch.setattr(solver_mod, "gamma",
-                            lambda x: 1.01 * real_gamma(x))
+        # skew the direct-path constant so the two paths disagree: at m = 1
+        # the closed form's weight is 1/Gamma(alpha), while the plain-wave
+        # solution is the Kirchhoff term alone
+        import besselwave.wave as wave_mod
+        real_rgamma = wave_mod.rgamma
+        monkeypatch.setattr(wave_mod, "rgamma",
+                            lambda x: 1.01 * real_rgamma(x))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(GOOD_CONFIG + "verify.fd_step = 2e-3\n")
         assert main(["verify", "--config", str(cfg)]) == 3

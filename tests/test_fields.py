@@ -215,6 +215,29 @@ class TestSphereMean:
         data.f[1].sphere_mean(x, radii, lap)
         assert len(calls) == 2  # one per base eigenfield, phi0 and phi1
 
+    def test_nested_field_sums_are_flattened(self, monkeypatch):
+        # the psi route's reduced data nests FieldSums three deep
+        pw0 = PlaneWaveField(np.array([0.6, -0.5, 0.6244997998398398]))
+        pw1 = PlaneWaveField(np.array([0.2, 0.3, -0.1]), phase=0.4,
+                             amplitude=0.8)
+        alpha = 0.3
+        data = build_psi_star_data(psi_star_from_psi([pw0, pw1], 2, alpha),
+                                   2, 0.5, alpha)
+        fs = data.f[1]
+        assert all(not isinstance(f, FieldSum) for _, _, f in fs.terms)
+        nested = FieldSum([(2.0, 1, FieldSum([(0.5, 1, pw0), (3.0, 0, pw1)]))])
+        assert nested.terms == [(1.0, 2, pw0), (6.0, 1, pw1)]
+
+        x, radii = np.array([0.3, -0.2, 0.45]), np.linspace(0.0, 2.5, 11)
+        expected, scale = self._term_by_term(fs, x, radii, 0)
+        calls = []
+        kernel = fields_mod.bessel_clifford
+        monkeypatch.setattr(fields_mod, "bessel_clifford",
+                            lambda *a, **k: calls.append(a) or kernel(*a, **k))
+        assert np.all(np.abs(fs.sphere_mean(x, radii) - expected)
+                      <= 1e-14 * scale)
+        assert len(calls) == 2  # one per base eigenfield, pw0 and pw1
+
 
 class TestDampedIbar:
     @settings(max_examples=80, deadline=None)

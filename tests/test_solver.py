@@ -113,6 +113,19 @@ class TestSeparableOracles:
             assert solve_point_even(spec, x2, t, FAST) == pytest.approx(
                 exact, rel=1e-8)
 
+    def test_odd_profile_at_alpha_rounding_to_zero(self):
+        # at the smallest gamma > -1/2, alpha - 1.0 rounds to -1: at lam = 0
+        # the closed form is its alpha -> 0 limit, the plain wave
+        # cos(|k| t) cos(k.x); at lam != 0 that limit keeps a ball
+        # integral the series cannot take, so it is refused
+        gamma_param = float(np.nextafter(-0.5, 0.0))
+        ts = np.array([0.5, 1.0, 2.0])
+        u = solve_profile_odd(spec_odd_m1(gamma_param, 0.0), X3, ts, FAST)
+        amp = PlaneWaveField(K3).eval(X3[None, :])[0]
+        assert np.max(np.abs(u - np.cos(ts) * amp)) <= 1e-10
+        with pytest.raises(DomainError):
+            solve_profile_odd(spec_odd_m1(gamma_param, 0.5), X3, ts, FAST)
+
     def test_parity_contracts(self):
         spec = spec_odd_m1()
         with pytest.raises(ContractError):

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from besselwave.errors import AccuracyError, DomainError
 from besselwave.special import (SERIES_CUTOFF, BesselCliffordParams,
-                                bessel_clifford, double_factorial_odd, gamma,
-                                pochhammer, solution_consts, sphere_area_const)
+                                bessel_clifford, double_factorial_odd,
+                                pochhammer, sphere_area_const)
 
 
 def _jbar_reference(nu, z):
@@ -163,25 +163,3 @@ class TestSphereArea:
     def test_domain(self):
         with pytest.raises(DomainError):
             sphere_area_const(0)
-
-
-class TestSolutionConsts:
-    def test_n3_alpha1(self):
-        g, gbar, _ = solution_consts(3, 1.0)
-        assert g == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-        assert gbar == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-
-    def test_n2_tilde(self):
-        _, _, gtilde = solution_consts(2, 0.7)
-        assert gtilde == pytest.approx(1.0 / sphere_area_const(3), rel=1e-14)
-
-    def test_n5_gbar(self):
-        _, gbar, _ = solution_consts(5, 0.5)
-        expected = 1.0 / (3.0 * sphere_area_const(5) * gamma(0.5))
-        assert gbar == pytest.approx(expected, rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            solution_consts(1, 1.0)
-        with pytest.raises(DomainError):
-            solution_consts(3, 0.0)

@@ -1,17 +1,19 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from besselwave.errors import ContractError, DomainError
 from besselwave.fields import (FieldSum, PlaneWaveField, TransformedData,
                                zero_field)
+from besselwave.special import sphere_area_const
 from besselwave.transmute import lemma1_constants
-from besselwave.wave import (OddExtension, PolyWaveProblem, RuleSet,
-                             polywave_limit_from_w0, polywave_solve_even_many,
-                             polywave_solve_odd, polywave_solve_odd_many,
-                             radial_time_operator, time_derivative,
-                             w0_closed_form)
+from besselwave.wave import (PolyWaveProblem, RuleSet, ball_series_constants,
+                             polywave_solve_even_many, polywave_solve_odd,
+                             polywave_solve_odd_many, radial_time_operator,
+                             time_derivative)
 
 RULES = RuleSet()
 
@@ -152,6 +154,93 @@ class TestEvenDimension:
         assert np.max(np.abs(u - exact)) <= 1e-9
 
 
+class TestHigherDimensions:
+    """The m = 2 single-mode oracle at n = 4, 5, where the outer operator
+    is (1/t d/dt)^2: Phi_0 = v, Phi_1 = b v (f-data) gives
+    U = [cos t + (b + 1) t sin(t)/2] v, and Psi_0 = v, Psi_1 = b v (g-data)
+    gives U = [(1 + (b + 1)/2) sin t - (b + 1) t cos(t)/2] v, |k| = 1."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("family", ["f", "g"])
+    def test_iterated_mode_oracle(self, n, family):
+        rng = np.random.default_rng(n)
+        k = rng.normal(size=n)
+        pw = PlaneWaveField(k / np.linalg.norm(k))
+        x = 0.4 * rng.normal(size=n)
+        b = 0.7
+        data = [single(pw), single(pw, b + 1.0)]
+        zeros = [zero_field(n), zero_field(n)]
+        prob = PolyWaveProblem(n, 2, plain_data(data, zeros) if family == "f"
+                               else plain_data(zeros, data))
+        solver = polywave_solve_odd_many if n % 2 else polywave_solve_even_many
+        u = solver(x, TS, prob, RULES)
+        amp = pw.eval(x[None, :])[0]
+        c = 0.5 * (b + 1.0)
+        if family == "f":
+            exact = (np.cos(TS) + c * TS * np.sin(TS)) * amp
+        else:
+            exact = ((1.0 + c) * np.sin(TS) - c * TS * np.cos(TS)) * amp
+        # the nested outer operator leaves ~2e-8 of float64 roundoff
+        assert np.max(np.abs(u - exact)) <= 1e-6
+
+
+class TestBallSeriesConstants:
+    @staticmethod
+    def _closed_form_coefficients(n, a, m):
+        """const * w_k as the closed forms write them, in 30-digit
+        arithmetic: odd n 2 / ((n-2)!! omega_n Gamma(a) 2^2k k! (a)_k),
+        even n (descent) 2 sqrt(pi) / ((n-1)!! omega_{n+1} Gamma(a) ...),
+        with a = alpha or alpha + 1/2 for the phi closed forms."""
+        with mp.workdps(30):
+            dim = n if n % 2 else n + 1
+            omega = 2 * mp.pi ** (mp.mpf(dim) / 2) / mp.gamma(mp.mpf(dim) / 2)
+            c = 2 if n % 2 else 2 * mp.sqrt(mp.pi)
+            const = c / (math.prod(range(1, dim - 1, 2)) * omega * mp.gamma(a))
+            return [float(const / (4 ** k * math.factorial(k) * mp.rf(a, k)))
+                    for k in range(m)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 5),
+           alpha=st.floats(0.0, 3.0, exclude_min=True, exclude_max=True))
+    def test_matches_closed_form_constants(self, n, alpha):
+        # beta0 exactly as the routes compute it: phi closed form, psi direct
+        routes = [alpha - 1.0 if n % 2 else alpha - 0.5]
+        if alpha < 0.5:
+            routes.append(-alpha if n % 2 else 0.5 - alpha)
+        for beta0 in routes:
+            # below 2^-53, alpha - 1.0 rounds to the pole beta0 = -1
+            assume(beta0 > -1.0)
+            weights, const = ball_series_constants(n, beta0, 4)
+            # the reference at a = beta0 + 1, the parameter the kernel
+            # exponent stands for (alpha - 1.0 + 1 differs from alpha by
+            # up to half an ulp of 1 when alpha < 1/2)
+            expected = self._closed_form_coefficients(n, mp.mpf(beta0) + 1, 4)
+            for w, e in zip(weights, expected):
+                assert abs(const * w - e) <= 2e-15 * abs(e)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_odd_polywave_weights(self, n):
+        weights, const = ball_series_constants(n, -1.0, 4)
+        assert weights[0] == 0.0  # 1/Gamma(0): the Kirchhoff term replaces it
+        gamma_n = 1.0 / (math.prod(range(1, n - 1, 2)) * sphere_area_const(n))
+        assert 0.5 * const == pytest.approx(gamma_n, rel=1e-15)
+        for k in range(1, 4):
+            coef = 1.0 / (2.0 ** (2 * k - 1) * math.factorial(k - 1)
+                          * math.factorial(k))
+            assert const * weights[k] == pytest.approx(gamma_n * coef,
+                                                       rel=2e-15)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_even_polywave_weights(self, n):
+        weights, const = ball_series_constants(n, -0.5, 4)
+        descent = 2.0 * math.sqrt(math.pi) / (math.prod(range(1, n, 2))
+                                             * sphere_area_const(n + 1))
+        for k in range(4):
+            coef = 1.0 / (math.gamma(k + 0.5) * 4.0 ** k * math.factorial(k))
+            assert const * weights[k] == pytest.approx(descent * coef,
+                                                       rel=2e-15)
+
+
 class TestResidualAndConditions:
     def test_residual_order_m1(self):
         prob = PolyWaveProblem(3, 1, plain_data([single(PW3)], [zero_field(3)]))
@@ -188,23 +277,6 @@ class TestResidualAndConditions:
         r1 = [(4.0 * ladder[i + 1] - ladder[i]) / 3.0 for i in range(2)]
         est = (16.0 * r1[1] - r1[0]) / 15.0
         assert abs(est - target) <= 1e-4 * max(1.0, abs(target))
-
-
-class TestReducedProfile:
-    def test_w0_vanishes_at_origin(self):
-        prob = PolyWaveProblem(3, 1, plain_data([single(PW3)], [zero_field(3)]))
-        assert w0_closed_form(X3, 1.0, 0.0, prob, RULES) == 0.0
-
-    def test_limit_reconstruction_matches_direct(self):
-        prob = PolyWaveProblem(3, 1, plain_data([single(PW3)], [zero_field(3)]))
-        v_lim = polywave_limit_from_w0(X3, 1.0, prob, RULES)
-        v_dir = polywave_solve_odd(X3, 1.0, prob, RULES)
-        assert abs(v_lim - v_dir) <= 1e-6
-
-    def test_odd_extension_parity(self):
-        ext = OddExtension(lambda r: np.asarray(r) ** 2)
-        r = np.array([0.3, 1.7])
-        assert np.allclose(ext(-r), -ext(r))
 
 
 class TestOuterOperators:
