@@ -32,6 +32,7 @@ from .errors import (AccuracyError, BesselWaveError, CapabilityError,
                      ConfigError, ContractError, DomainError)
 from .fields import (GaussianField, PlaneWaveField, PolynomialField,
                      SineProductField, zero_field)
+from .quadrature import MAX_RADIAL_ORDER
 from .solver import ProblemSpec, SolutionEvaluator
 from .wave import RuleSet
 
@@ -81,6 +82,13 @@ def _finite(text: str, what: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"bad {what}: {text!r} is not finite")
     return value
+
+
+def _radial_order(order: int, key: str) -> int:
+    if not 1 <= order <= MAX_RADIAL_ORDER:
+        raise ConfigError(f"bad {key}: radial order {order} is outside "
+                          f"1..{MAX_RADIAL_ORDER}")
+    return order
 
 
 def _vector(text: str) -> np.ndarray:
@@ -193,7 +201,9 @@ def parse_config(text: str) -> RunConfig:
             "(validity window of the weighted-data solution)")
 
     rules = RuleSet(
-        radial_order=_number(raw, "quadrature.radial_order", "48", int),
+        radial_order=_radial_order(
+            _number(raw, "quadrature.radial_order", "48", int),
+            "quadrature.radial_order"),
         sphere_order=_number(raw, "quadrature.sphere_order", "24", int))
 
     grid_x = []
@@ -225,6 +235,8 @@ def parse_config(text: str) -> RunConfig:
     except ValueError:
         raise ConfigError(f"bad convergence.orders: {orders!r} is not a "
                           "list of integers") from None
+    for order in convergence_orders:
+        _radial_order(order, "convergence.orders")
     return RunConfig(
         spec=spec, rules=rules, grid_x=grid_x, grid_t=grid_t,
         verify_opts=verify_opts,

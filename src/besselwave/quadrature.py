@@ -11,10 +11,14 @@ The substitution r = t*s turns the integral into
                          jbar(nu, lam t sqrt(1-s^2)) M_f(x, t s) ds,
 
 where M_f(x, r) is the mean of f over the sphere S(x, r).  The weight
-(1 - s^2)^beta is singular at s = 1 for beta in (-1, 0); a Gauss rule
-with respect to it absorbs the singularity exactly.  Its recurrence
-coefficients come from the exact moments by the Chebyshev algorithm in
-mpmath, followed by Golub-Welsch.
+(1-s^2)^beta is singular at s = 1 for beta in (-1, 0); a Gauss rule with
+respect to it absorbs the singularity exactly.  It is built in float64
+by discretized Stieltjes (Gautschi 2004, 2.2): the M-point Gauss-Jacobi
+rule for (1-s)^beta, weights times (1+s)^beta, is reduced to the order-N
+recurrence; Golub-Welsch gives the rule.  (1+s)^beta is analytic on the
+Bernstein ellipse of (0, 1) with rho = 3 + 2 sqrt(2), so inner products
+of degree < 2N polynomials err by O(rho^(-2(M-N))); M = 2N + 40 puts
+that far below roundoff.
 
 The spherical means are the one interface to the data.  Fields that
 provide ``sphere_mean`` (every shipped family) give them in closed form,
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_legendre
 
 from .errors import ContractError, DomainError
@@ -38,6 +41,9 @@ from .special import bessel_clifford, sphere_area_const
 
 # Chunk limit for batched fallback field evaluations (number of space points).
 _MAX_POINTS_PER_CHUNK = 4_000_000
+
+#: Largest radial order (a build solves eigenproblems of size 2*order + 40).
+MAX_RADIAL_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -80,48 +86,42 @@ class SphereRule:
         return _sphere_nodes_cached(self.dimension, self.order)[1]
 
 
+@np.errstate(all="ignore")  # a failed build surfaces as DomainError
+def _golub_welsch(diag, offdiag, mass):
+    """Ascending Gauss nodes and weights of a Jacobi matrix (eigh reads its
+    lower triangle).  Eigenvector weights err by ~eps * mass, so those below
+    1e-6 * mass are 1/sum p_k^2 over the orthonormal p_k instead."""
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, -1))
+    weights = mass * vecs[0] ** 2
+    small = weights < 1e-6 * mass
+    x, b = nodes[small], np.r_[0.0, offdiag]
+    p = [np.zeros_like(x), np.full_like(x, mass ** -0.5)]
+    for k in range(diag.size - 1 if x.size else 0):
+        p.append(((x - diag[k]) * p[-1] - b[k] * p[-2]) / b[k + 1])
+    weights[small] = 1.0 / np.sum(np.square(p[1:]), axis=0)
+    return nodes, weights
+
+
 @lru_cache(maxsize=128)
 def _radial_rule_cached(beta: float, order: int) -> RadialRule:
-    # Recurrence coefficients of the orthogonal polynomials for the weight
-    # (1-s^2)^beta on (0,1), from the exact moments
-    #     mu_j = B((j+1)/2, beta+1) / 2
-    # via the Chebyshev algorithm.  The raw-moment map is exponentially
-    # ill-conditioned, so the algorithm runs in mpmath with precision
-    # scaled to the order; the final Golub-Welsch step is float64.
-    import mpmath as mp
-
-    with mp.workdps(50 + 2 * order):
-        mu = [mp.beta(mp.mpf(j + 1) / 2, mp.mpf(beta) + 1) / 2
-              for j in range(2 * order)]
-        alpha_mp = [mu[1] / mu[0]]
-        beta_mp = [mu[0]]
-        sigma_prev = {l: mp.mpf(0) for l in range(2 * order)}
-        sigma_cur = {l: mu[l] for l in range(2 * order)}
-        for k in range(1, order):
-            sigma_new = {}
-            for l in range(k, 2 * order - k):
-                sigma_new[l] = (sigma_cur[l + 1]
-                                - alpha_mp[k - 1] * sigma_cur[l]
-                                - beta_mp[k - 1] * sigma_prev[l])
-            alpha_mp.append(sigma_new[k + 1] / sigma_new[k]
-                            - sigma_cur[k] / sigma_cur[k - 1])
-            beta_mp.append(sigma_new[k] / sigma_cur[k - 1])
-            sigma_prev, sigma_cur = sigma_cur, sigma_new
-        a = np.array([float(v) for v in alpha_mp])
-        b = np.array([float(v) for v in beta_mp])
-
-    if order == 1:
-        nodes = a.copy()
-        weights = np.array([b[0]])
-    else:
-        evals, evecs = eigh_tridiagonal(a, np.sqrt(b[1:]))
-        nodes = evals
-        weights = b[0] * evecs[0, :] ** 2
-
-    idx = np.argsort(nodes)
-    nodes = nodes[idx]
-    weights = weights[idx]
-    if np.any(nodes <= 0.0) or np.any(nodes >= 1.0) or np.any(weights <= 0.0):
+    # M = 2*order + 40 point Gauss-Jacobi rule for (1-s)^beta (module note),
+    # m = 2k + beta; (2k-1)+beta and k+beta stay exact as beta -> -1.
+    k = np.arange(1, 2 * order + 40, dtype=float)
+    m = 2.0 * k + beta
+    diag = np.r_[1.0 / (beta + 2.0), 0.5 - 0.5 * beta * beta / (m * (m + 2.0))]
+    offdiag = k * (k + beta) / m / np.sqrt((m + 1.0) * (2.0 * k - 1.0 + beta))
+    s, w = _golub_welsch(diag, offdiag, 1.0 / (beta + 1.0))
+    w *= (1.0 + s) ** beta  # then Stieltjes, orthonormal, down to order N
+    a, b = np.empty(order), np.empty(order)
+    p_prev, p, b_prev = np.zeros_like(s), np.full_like(s, w.sum() ** -0.5), 0.0
+    for j in range(order):
+        a[j] = w @ (s * p * p)
+        r = (s - a[j]) * p - b_prev * p_prev
+        b[j] = b_prev = np.sqrt(w @ (r * r))
+        p_prev, p = p, r / b_prev
+    nodes, weights = _golub_welsch(a, b[:-1], w.sum())
+    if not (np.all(np.diff(np.r_[0.0, nodes, 1.0]) > 0.0)
+            and np.all((weights > 0.0) & (weights < np.inf))):
         raise DomainError(
             f"radial rule construction failed for beta={beta}, order={order}")
     return RadialRule(beta=beta, order=order, nodes=nodes, weights=weights)
@@ -131,8 +131,8 @@ def make_radial_rule(beta: float, order: int) -> RadialRule:
     """Gauss rule for weight (1-s^2)^beta on (0,1); cached immutably."""
     if beta <= -1.0:
         raise DomainError(f"radial weight exponent must be > -1, got {beta}")
-    if order < 1:
-        raise DomainError("radial order must be >= 1")
+    if not 1 <= order <= MAX_RADIAL_ORDER:
+        raise DomainError(f"radial order {order} not in 1..{MAX_RADIAL_ORDER}")
     return _radial_rule_cached(float(beta), int(order))
 
 

@@ -21,6 +21,7 @@ recovery of the initial data.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .fields import (TransformedData, build_psi_star_data,
                      build_transformed_data, psi_star_from_psi)
-from .quadrature import make_radial_rule
+from .quadrature import MAX_RADIAL_ORDER, make_radial_rule
 from .special import pochhammer
 from .transmute import EKParams, bessel_op_apply, lowndes_apply_many
 from .wave import (PolyWaveProblem, RuleSet, ball_series,
@@ -72,6 +73,34 @@ class ProblemSpec:
         return self.gamma_param + 0.5
 
 
+#: Smallest alpha the routes through jbar(alpha - 1, z) accept at lam != 0:
+#: that kernel loses about eps * z^2 / alpha, so at alpha = 1e-8 errors reach
+#: 1e-7 and at 1e-14 they are O(1).
+_MIN_ALPHA_LAM = 1e-8
+
+
+@contextmanager
+def _gamma_named(spec: ProblemSpec, order: int):
+    """Refuse, naming gamma, a route whose weight exponent alpha - 1.0 is
+    too close to -1: at lam != 0 below _MIN_ALPHA_LAM, and wherever the
+    radial rule at alpha - 1.0 cannot be built (below alpha = 2^-53 the
+    exponent rounds to -1)."""
+    beta = spec.alpha - 1.0
+    error = DomainError(f"gamma={spec.gamma_param!r} is too close to -1/2: "
+                        f"alpha - 1 = {beta!r} is too close to -1")
+    if spec.lam != 0.0 and spec.alpha < _MIN_ALPHA_LAM:
+        raise error
+    try:
+        yield
+    except DomainError:
+        if 1 <= order <= MAX_RADIAL_ORDER:
+            try:
+                make_radial_rule(beta, order)
+            except DomainError:
+                raise error from None
+        raise
+
+
 def transformed_data(spec: ProblemSpec) -> TransformedData:
     if spec.family != "phi":
         raise ContractError("transformed_data is the phi-problem transform")
@@ -89,11 +118,12 @@ def solve_profile_odd(spec: ProblemSpec, x, tvals, rules: RuleSet | None = None,
     """Odd-dimension closed form, vectorised over t > 0."""
     if spec.n % 2 == 0 or spec.n < 3:
         raise ContractError(f"odd-dimension formula needs odd n >= 3, got n={spec.n}")
-    alpha = spec.alpha
+    alpha, rules = spec.alpha, rules or RuleSet()
     if data is None:
         data = transformed_data(spec)
-    return ball_series(data.f, x, tvals, spec.n, alpha - 1.0, spec.lam,
-                       spec.n // 2, 1.0 - 2.0 * alpha, rules or RuleSet())
+    with _gamma_named(spec, rules.radial_order):
+        return ball_series(data.f, x, tvals, spec.n, alpha - 1.0, spec.lam,
+                           spec.n // 2, 1.0 - 2.0 * alpha, rules)
 
 
 def solve_point_even(spec: ProblemSpec, x, t: float,
@@ -132,7 +162,8 @@ def solve_profile_transmutation(spec: ProblemSpec, x, tvals,
     def wave_profile(svals):
         return solver(x, np.asarray(svals, dtype=float), problem, rules)
 
-    radial = make_radial_rule(alpha - 1.0, rules.radial_order)
+    with _gamma_named(spec, rules.radial_order):
+        radial = make_radial_rule(alpha - 1.0, rules.radial_order)
     params = EKParams(eta=-0.5, alpha=alpha, lam=spec.lam)
     tvals = np.asarray(tvals, dtype=float)
 

@@ -54,10 +54,6 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def beta(a: float, b: float) -> float:
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
 @dataclass(frozen=True)
 class BesselCliffordParams:
     """Evaluation parameters for the Bessel-Clifford series.

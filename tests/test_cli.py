@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import besselwave.cli
 from besselwave.cli import main, parse_config, parse_field_spec
 from besselwave.errors import ConfigError
 from besselwave.fields import (GaussianField, PlaneWaveField, PolynomialField,
@@ -17,6 +22,19 @@ grid.x = 0.3 -0.2 0.45; 0.0 0.1 0.2
 grid.t = 0.5 1.0
 quadrature.radial_order = 32
 quadrature.sphere_order = 16
+"""
+
+
+README_CONFIG = """\
+problem.n = 3
+problem.m = 1
+problem.gamma = 0.5
+problem.lambda = 1.0
+data.phi0 = planewave:k=0.6 -0.5 0.6244997998398398
+grid.x = 0.3 -0.2 0.45; 0.0 0.1 0.2
+grid.t = 0.5 1.0 1.5
+quadrature.radial_order = 48
+quadrature.sphere_order = 24
 """
 
 
@@ -175,6 +193,52 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
         assert key in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("quadrature.radial_order", "0"),
+        ("quadrature.radial_order", "257"),
+        ("quadrature.radial_order", "100000"),
+        ("convergence.orders", "16 0 32"),
+        ("convergence.orders", "16 257"),
+        ("convergence.orders", "100000"),
+    ])
+    def test_radial_order_out_of_range_exit_1(self, tmp_path, capsys, key,
+                                              value):
+        # refused before any rule is built: 100000 would otherwise ask for
+        # a dense eigenproblem of size 200040
+        text = GOOD_CONFIG.replace(f"{key} = ", "# ") + f"{key} = {value}\n"
+        cfg = self.write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert key in err and "1..256" in err
+
+    @pytest.mark.parametrize("gamma", [
+        repr(float(np.nextafter(-0.5, 0.0))),  # alpha - 1.0 rounds to -1
+        "-0.499999999999999",                  # alpha ~ 1e-15
+    ])
+    def test_gamma_at_the_pole_exit_1(self, tmp_path, capsys, gamma):
+        text = GOOD_CONFIG.replace("problem.gamma = 0.5",
+                                   f"problem.gamma = {gamma}")
+        cfg = self.write_config(tmp_path, text)
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"gamma={gamma}" in err and "alpha - 1" in err
+
+    def test_solve_loads_neither_mpmath_nor_scipy_linalg(self, tmp_path):
+        cfg = self.write_config(tmp_path, README_CONFIG)
+        code = ("import sys\n"
+                "from besselwave.cli import cmd_solve, load_config\n"
+                f"cmd_solve(load_config({cfg!r}), {str(tmp_path / 'u.csv')!r})\n"
+                "print(sorted(m for m in ('mpmath', 'scipy.linalg')"
+                " if m in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(besselwave.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"
+        assert (tmp_path / "u.csv").read_text().count("\n") == 1 + 2 * 3
 
     def test_ignored_richardson_levels_key_exit_1(self, tmp_path, capsys):
         # nothing reads verify.richardson_levels, so even a valid value is

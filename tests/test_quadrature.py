@@ -1,15 +1,63 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from besselwave.errors import ContractError, DomainError
 from besselwave.fields import GaussianField, PlaneWaveField, PolynomialField
-from besselwave.quadrature import (SphereRule, ball_kernel_integral,
+from besselwave.quadrature import (MAX_RADIAL_ORDER, SphereRule,
+                                   ball_kernel_integral,
                                    ball_kernel_integral_many, make_radial_rule,
                                    make_sphere_rule, sphere_mean,
                                    sphere_means_many)
-from besselwave.special import beta as beta_fn, sphere_area_const
+from besselwave.special import sphere_area_const
+
+
+def beta_fn(a, b):
+    """Euler beta function, evaluated in 30-digit arithmetic."""
+    with mp.workdps(30):
+        return float(mp.beta(a, b))
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev_recurrence(beta, order):
+    """Recurrence coefficients of (1-s^2)^beta on (0,1) from the exact
+    moments mu_j = B((j+1)/2, beta+1)/2 by the Chebyshev algorithm, in
+    mpmath at 50 + 2*order digits against the moment map's exponential
+    ill-conditioning.  The first k coefficients are those of order k."""
+    with mp.workdps(50 + 2 * order):
+        mu = [mp.beta(mp.mpf(j + 1) / 2, mp.mpf(beta) + 1) / 2
+              for j in range(2 * order)]
+        alpha_mp = [mu[1] / mu[0]]
+        beta_mp = [mu[0]]
+        sigma_prev = {l: mp.mpf(0) for l in range(2 * order)}
+        sigma_cur = {l: mu[l] for l in range(2 * order)}
+        for k in range(1, order):
+            sigma_new = {}
+            for l in range(k, 2 * order - k):
+                sigma_new[l] = (sigma_cur[l + 1]
+                                - alpha_mp[k - 1] * sigma_cur[l]
+                                - beta_mp[k - 1] * sigma_prev[l])
+            alpha_mp.append(sigma_new[k + 1] / sigma_new[k]
+                            - sigma_cur[k] / sigma_cur[k - 1])
+            beta_mp.append(sigma_new[k] / sigma_cur[k - 1])
+            sigma_prev, sigma_cur = sigma_cur, sigma_new
+        return (np.array([float(v) for v in alpha_mp]),
+                np.array([float(v) for v in beta_mp]))
+
+
+def chebyshev_reference_rule(beta, order):
+    """The moment-based build: Chebyshev algorithm, then float64
+    Golub-Welsch."""
+    a, b = _chebyshev_recurrence(beta, 128)
+    a, b = a[:order], b[:order]
+    off = np.sqrt(b[1:])
+    nodes, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1)
+                                 + np.diag(off, -1))
+    return nodes, b[0] * vecs[0] ** 2
 
 
 class TestRadialRule:
@@ -47,6 +95,36 @@ class TestRadialRule:
             make_radial_rule(-1.0, 8)
         with pytest.raises(DomainError):
             make_radial_rule(0.5, 0)
+        with pytest.raises(DomainError):
+            make_radial_rule(0.5, MAX_RADIAL_ORDER + 1)
+        assert make_radial_rule(0.5, MAX_RADIAL_ORDER).nodes.size == 256
+
+    @pytest.mark.parametrize("beta", [-0.999, -0.95, -0.75, -0.5, 0.25, 1.0,
+                                      4.0])
+    @pytest.mark.parametrize("order", [1, 2, 8, 32, 64, 128])
+    def test_matches_chebyshev_algorithm(self, beta, order):
+        nodes, weights = chebyshev_reference_rule(beta, order)
+        rule = make_radial_rule(beta, order)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-12
+        assert np.max(np.abs(rule.weights - weights)) <= 1e-12 * np.sum(weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(-0.999, 4.0),
+           order=st.integers(1, MAX_RADIAL_ORDER))
+    @example(beta=-0.999, order=MAX_RADIAL_ORDER)
+    @example(beta=4.0, order=MAX_RADIAL_ORDER)
+    @example(beta=-0.999, order=1)
+    def test_moments_exact_to_1e12(self, beta, order):
+        # sum_i w_i s_i^j = B((j+1)/2, beta+1)/2 for every j < 2*order,
+        # relative to the moment, which at beta = 4, j = 511 is ~1e-11
+        # of the mass: small weights near s = 1 must be accurate
+        rule = make_radial_rule(beta, order)
+        j = np.arange(2 * order)
+        got = np.sum(rule.weights * rule.nodes ** j[:, None], axis=1)
+        with mp.workdps(30):
+            exact = np.array([float(mp.beta(mp.mpf(int(i) + 1) / 2,
+                                            mp.mpf(beta) + 1) / 2) for i in j])
+        assert np.max(np.abs(got - exact) / exact) <= 1e-12
 
     def test_cached_identity(self):
         assert make_radial_rule(0.25, 8) is make_radial_rule(0.25, 8)

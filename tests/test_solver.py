@@ -126,6 +126,30 @@ class TestSeparableOracles:
         with pytest.raises(DomainError):
             solve_profile_odd(spec_odd_m1(gamma_param, 0.5), X3, ts, FAST)
 
+    @pytest.mark.parametrize("gamma_param, lam, method", [
+        (float(np.nextafter(-0.5, 0.0)), 0.5, "direct"),
+        (float(np.nextafter(-0.5, 0.0)), 0.5, "transmutation"),
+        (float(np.nextafter(-0.5, 0.0)), 0.0, "transmutation"),
+        (-0.5 + 1e-15, 0.5, "direct"),
+        (-0.5 + 1e-15, 0.5, "transmutation"),
+        (-0.5 + 1e-10, 0.5, "direct"),
+        (-0.5 + 1e-10, 0.5, "transmutation")])
+    def test_gamma_at_the_pole_is_named(self, gamma_param, lam, method):
+        # alpha - 1.0 rounds to -1 (no radial rule), or jbar(alpha - 1, .)
+        # at lam != 0 loses about eps / alpha: refused naming gamma
+        ev = SolutionEvaluator(spec_odd_m1(gamma_param, lam), FAST, method)
+        with pytest.raises(DomainError, match=r"^gamma=.* alpha - 1 = "):
+            ev.profile(X3, np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("method", ["direct", "transmutation"])
+    def test_small_alpha_at_lam_zero(self, method):
+        # without the kernel the routes stay exact near the pole: the
+        # solution is the plain wave cos(|k| t) cos(k.x) up to O(alpha)
+        ts = np.array([0.5, 1.0, 2.0])
+        ev = SolutionEvaluator(spec_odd_m1(-0.5 + 1e-10, 0.0), FAST, method)
+        amp = PlaneWaveField(K3).eval(X3[None, :])[0]
+        assert np.max(np.abs(ev.profile(X3, ts) - np.cos(ts) * amp)) <= 1e-8
+
     def test_parity_contracts(self):
         spec = spec_odd_m1()
         with pytest.raises(ContractError):
