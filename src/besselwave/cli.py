@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -259,19 +258,12 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def cmd_solve(cfg: RunConfig, out_path: str | None, threads: int = 1) -> int:
+def cmd_solve(cfg: RunConfig, out_path: str | None) -> int:
     evaluator = SolutionEvaluator(cfg.spec, cfg.rules)
     tvals = np.array(sorted(cfg.grid_t), dtype=float)
     xs = sorted(cfg.grid_x, key=lambda p: tuple(p))
-
-    def run_one(x):
-        return evaluator.profile(x, tvals) if tvals.size else np.array([])
-
-    if threads > 1 and len(xs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            profiles = list(pool.map(run_one, xs))
-    else:
-        profiles = [run_one(x) for x in xs]
+    profiles = [evaluator.profile(x, tvals) if tvals.size else np.array([])
+                for x in xs]
 
     n = cfg.spec.n
     lines = [",".join([f"x{i + 1}" for i in range(n)] + ["t", "u"])]
@@ -440,7 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["solve", "verify", "operators", "convergence"])
     parser.add_argument("--config", help="path to key/value config file")
     parser.add_argument("--out", help="output path (CSV or report)")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; solve runs in "
+                             "one thread")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="override verify tolerance")
     return parser
@@ -455,7 +449,7 @@ def main(argv=None) -> int:
         if args.command != "operators" and cfg is None:
             raise ConfigError(f"command {args.command!r} requires --config")
         if args.command == "solve":
-            return cmd_solve(cfg, args.out, threads=max(1, args.threads))
+            return cmd_solve(cfg, args.out)
         if args.command == "verify":
             return cmd_verify(cfg, args.out, tolerance=args.tolerance)
         if args.command == "operators":

@@ -27,10 +27,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.special import ive
 
-from .errors import CapabilityError, DomainError
-from .special import SERIES_CUTOFF, _hyp0f1, bessel_clifford, gamma
+from .errors import AccuracyError, CapabilityError, DomainError
+from .special import _horner, _hyp0f1, bessel_clifford, gamma
 
 
 class SmoothField:
@@ -251,23 +250,65 @@ class GaussianField(SmoothField):
 _EXP_LIMIT = 700.0
 
 
-def _damped_ibar(mu: float, z: np.ndarray, damp: np.ndarray) -> np.ndarray:
-    """exp(-damp) * Ibar_mu(z), Ibar_mu(z) = Gamma(mu+1) (z/2)^-mu I_mu(z).
+#: Where _damped_ibar switches from the power series to Hankel's expansion.
+#: Below it the series' positive terms need at most ~70 Horner steps; above
+#: it Hankel's expansion, whose smallest term is ~exp(-2z), reaches 1e-17
+#: relative for mu <= 8 in at most 17 terms.
+_HANKEL_CUTOFF = 40.0
 
-    Below SERIES_CUTOFF (which covers d = 0 and r = 0) the power series
+
+def _damped_ibar(mu: float, z: np.ndarray, damp: np.ndarray) -> np.ndarray:
+    """exp(-damp) * Ibar_mu(z), Ibar_mu(z) = Gamma(mu+1) (z/2)^-mu I_mu(z),
+    for z >= 0 and mu > -1.
+
+    Below _HANKEL_CUTOFF (which covers d = 0 and r = 0) the power series
     Ibar_mu(z) = 0F1(; mu+1; z^2/4) goes through the Bessel-Clifford
-    series core: its terms are all positive, so nothing cancels, and the
-    cutoff keeps the term count below about 25.  Larger z uses the
-    exponentially scaled I_mu, so that exp(z) never forms on its own.
+    series core: its terms are all positive, so nothing cancels however
+    large they grow (Ibar_mu(40) ~ 1e16).  From there on Hankel's
+    expansion (DLMF 10.40.1)
+
+        I_mu(z) = e^z / sqrt(2 pi z) * sum_k (-1)^k a_k(mu) / z^k,
+        a_k(mu) = (4mu^2 - 1^2)(4mu^2 - 3^2)...(4mu^2 - (2k-1)^2) / (k! 8^k),
+
+    is summed by Horner in 1/z up to the first term below 1e-17 at the
+    smallest z, and multiplied by exp(z - damp), so that exp(z) never
+    forms on its own.  Its exponentially small second part, e^-z I_mu's
+    partner, is below e^-80 relative and is dropped.  Both branches are
+    accurate to about 1e-13 relative wherever the result is a normal
+    float; exp(z - damp) contributes eps |z - damp| of that.
     """
     out = np.empty_like(z)
-    small = z < SERIES_CUTOFF
+    small = z < _HANKEL_CUTOFF
     zs = z[small]
-    out[small] = _hyp0f1(mu, 0.25 * zs * zs) * np.exp(-damp[small])
+    # exp(-damp/2) twice: exp(-damp) alone is subnormal from damp = 708 on,
+    # where Ibar_mu(z) <= e^40 can still lift the product into normal range
+    half = np.exp(-0.5 * damp[small])
+    out[small] = _hyp0f1(mu, 0.25 * zs * zs) * half * half
     zl = z[~small]
-    out[~small] = (gamma(mu + 1.0) * (zl / 2.0) ** (-mu) * ive(mu, zl)
-                   * np.exp(zl - damp[~small]))
+    if zl.size:
+        out[~small] = (gamma(mu + 1.0) * (zl / 2.0) ** (-mu)
+                       * _hankel_sum(mu, zl) / np.sqrt(2.0 * math.pi * zl)
+                       * np.exp(zl - damp[~small]))
     return out
+
+
+def _hankel_sum(mu: float, z: np.ndarray) -> np.ndarray:
+    """sum_k (-1)^k a_k(mu) / z^k of Hankel's expansion, z >= _HANKEL_CUTOFF.
+
+    At z >= 40 and mu <= 8 the terms fall below 1e-17 within 17 steps;
+    for half-integer mu the sum ends by itself.  AccuracyError if the
+    expansion needs more than 60 terms (mu far beyond the package's
+    orders).
+    """
+    inv_min = 1.0 / float(np.min(z))
+    coeffs, bound = [1.0], 1.0
+    while bound > 1e-17 and coeffs[-1] != 0.0:
+        k = len(coeffs)
+        if k > 60:
+            raise AccuracyError(f"Hankel expansion of I_{mu} did not converge")
+        coeffs.append(-coeffs[-1] * (4.0 * mu * mu - (2 * k - 1) ** 2) / (8 * k))
+        bound = abs(coeffs[-1]) * inv_min ** k
+    return _horner(coeffs, 1.0 / z)
 
 
 @dataclass

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import ContractError, DomainError
 from .special import bessel_clifford, sphere_area_const
@@ -149,7 +149,7 @@ def _sphere_nodes_cached(n: int, order: int):
     elif n == 3:
         # Product rule: Gauss-Legendre in the polar cosine, equispaced
         # azimuth.  Exact on spherical polynomials of degree <= 2*order-1.
-        mu, wmu = roots_legendre(order)
+        mu, wmu = leggauss(order)
         m_phi = 2 * order
         phi = 2.0 * np.pi * np.arange(m_phi) / m_phi
         sin_th = np.sqrt(1.0 - mu ** 2)

@@ -24,13 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import ContractError, DomainError
 from .fields import TransformedData
 from .quadrature import (SphereRule, ball_kernel_integral_many,
                          make_radial_rule, sphere_means_many)
-from .special import double_factorial_odd, sphere_area_const
+from .special import double_factorial_odd, rgamma, sphere_area_const
 
 _TINY_T = 1e-30
 

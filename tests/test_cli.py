@@ -334,3 +334,93 @@ class TestConvergenceCommand:
         cfg.write_text(GOOD_CONFIG + "convergence.orders = 16 24 32\n")
         assert main(["convergence", "--config", str(cfg)]) == 0
         assert "successive max differences" in capsys.readouterr().out
+
+
+class TestDimensionLimit:
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_n_six_and_up_exit_1(self, tmp_path, capsys, n):
+        # the finite-difference outer operator errs by 2.4e-5 at n = 6 and
+        # by 0.29 at n = 8 (u = 0.99495 where the exact value is 0.92808)
+        k = " ".join(["0.3"] * n)
+        x = " ".join(["0.1"] * n)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem.n = {n}\nproblem.m = 1\nproblem.gamma = 0.5\n"
+                       f"problem.lambda = 1.0\ndata.phi0 = planewave:k={k}\n"
+                       f"grid.x = {x}\ngrid.t = 0.5\n")
+        out = tmp_path / "sol.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert f"n={n}" in err
+        assert not out.exists()
+
+
+KERNEL_BRANCH_CONFIG = """\
+problem.n = 3
+problem.m = 2
+problem.gamma = 0.3
+problem.lambda = 4.0
+data.phi0 = planewave:k=0.6 -0.5 0.6
+data.phi1 = sineproduct:k=0.4 0.3 -0.2
+grid.x = 0.3 -0.2 0.45
+grid.t = 1.0 2.5
+"""
+
+GAUSSIAN_CONFIG = """\
+problem.n = 3
+problem.m = 1
+problem.gamma = 0.25
+problem.lambda = 0.5
+data.phi0 = gaussian:width=20,center=0 0 0
+grid.x = 1.0 0.0 0.0; 0.2 0.1 0.0
+grid.t = 0.5 1.5
+"""
+
+
+class TestImportPath:
+    def test_no_scipy_or_thread_pool_on_any_branch(self, tmp_path):
+        # solve on a config whose kernel arguments pass SERIES_CUTOFF
+        # (lambda t = 10) and on a Gaussian one whose Ibar arguments pass
+        # the Hankel switch (z = 2 a d r up to 60), then verify the README
+        # config: none of them may load scipy or concurrent.futures
+        paths = {}
+        for name, text in (("kernel", KERNEL_BRANCH_CONFIG),
+                           ("gaussian", GAUSSIAN_CONFIG),
+                           ("readme", README_CONFIG)):
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(text)
+        code = f"""\
+import sys
+import besselwave.fields as fields
+import besselwave.special as special
+from besselwave.cli import cmd_solve, cmd_verify, load_config
+
+hankel = []
+real_hankel = fields._hankel_sum
+fields._hankel_sum = lambda mu, z: hankel.append(z.size) or real_hankel(mu, z)
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "concurrent.futures")
+
+print("run", cmd_solve(load_config({str(paths['kernel'])!r}), {str(tmp_path / 'a.csv')!r}),
+      special._poisson_rule.cache_info().currsize > 0, loaded())
+print("run", cmd_solve(load_config({str(paths['gaussian'])!r}), {str(tmp_path / 'b.csv')!r}),
+      sum(hankel) > 0, loaded())
+print("run", cmd_verify(load_config({str(paths['readme'])!r}), {str(tmp_path / 'v.txt')!r}),
+      loaded())
+"""
+        src = os.path.dirname(os.path.dirname(besselwave.cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        runs = [line for line in run.stdout.splitlines()
+                if line.startswith("run ")]
+        assert runs == ["run 0 True []", "run 0 True []", "run 0 []"]
+
+    def test_src_does_not_mention_scipy(self):
+        src = os.path.dirname(besselwave.cli.__file__)
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name)) as fh:
+                    assert "scipy" not in fh.read(), name

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import besselwave.fields as fields_mod
 from besselwave.errors import CapabilityError, DomainError
@@ -347,3 +347,39 @@ class TestPsiData:
         assert data.warnings
         data = build_psi_star_data([pw], 1, 0.0, 0.2)
         assert not data.warnings
+
+
+class TestDampedIbarBothBranches:
+    """_damped_ibar across the series / Hankel switch at z = 40.
+
+    GaussianField.sphere_mean passes z = 2 a d r and damp = a r^2, so with
+    q = a d^2 the pairs are (z, z^2 / (4 q)) and exp(z - damp) <= exp(q);
+    q <= 700 keeps every result finite.  The bound is relative wherever the
+    result is a normal float.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(mu=st.floats(-0.5, 8.0), q=st.floats(1e-3, 700.0),
+           zs=st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=6))
+    @example(mu=0.0, q=700.0, zs=[float(np.nextafter(40.0, 0.0)), 40.0, 4999.0])
+    @example(mu=8.0, q=20.0, zs=[39.0, 41.0])
+    @example(mu=1.5, q=300.0, zs=[0.0, 5000.0])
+    # damp ~ 720 with z just below 40: exp(-damp) alone is subnormal
+    @example(mu=-0.5, q=0.55, zs=[39.9, 39.0])
+    def test_matches_hyp0f1(self, mu, q, zs):
+        z = np.array(zs)
+        damp = z * z / (4.0 * q)
+        got = fields_mod._damped_ibar(mu, z, damp)
+        with mp.workdps(30):
+            for zi, di, value in zip(z, damp, got):
+                ref = float(mp.exp(-mp.mpf(di))
+                            * mp.hyp0f1(mp.mpf(mu) + 1, (mp.mpf(zi) / 2) ** 2))
+                assert abs(value - ref) <= max(1e-13 * ref,
+                                               np.finfo(float).tiny)
+
+    def test_switch_is_continuous(self):
+        # the two branches agree to roundoff on either side of the switch
+        z = np.array([np.nextafter(40.0, 0.0), 40.0])
+        for mu in (-0.5, 0.0, 0.5, 2.0, 8.0):
+            below, above = fields_mod._damped_ibar(mu, z, z)
+            assert abs(below - above) <= 1e-14 * above

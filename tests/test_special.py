@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from besselwave.errors import AccuracyError, DomainError
-from besselwave.special import (SERIES_CUTOFF, BesselCliffordParams,
+from besselwave.special import (MAX_ARGUMENT, SERIES_CUTOFF,
+                                BesselCliffordParams, _poisson_rule,
                                 bessel_clifford, double_factorial_odd,
-                                pochhammer, sphere_area_const)
+                                pochhammer, rgamma, sphere_area_const)
 
 
 def _jbar_reference(nu, z):
@@ -163,3 +164,54 @@ class TestSphereArea:
     def test_domain(self):
         with pytest.raises(DomainError):
             sphere_area_const(0)
+
+
+_NEAR_MINUS_HALF = float(np.nextafter(-0.5, 0.0))
+
+
+class TestPoissonBranch:
+    """jbar for SERIES_CUTOFF < |z| <= MAX_ARGUMENT: the Poisson-integral
+    rule above nu = -1/2, its derivative form at and below."""
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.75, -0.5, _NEAR_MINUS_HALF,
+                                    -0.3, 0.0, 0.5, 1.0, 2.5, 5.0, 9.0])
+    def test_grid_matches_hyp0f1(self, nu):
+        zs = np.linspace(np.nextafter(SERIES_CUTOFF, 9.0), MAX_ARGUMENT, 43)
+        got = bessel_clifford(nu, zs)
+        for z, value in zip(zs, got):
+            assert abs(value - _jbar_reference(nu, z)) <= _kernel_bound(z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nu=st.floats(-0.9, 9.0),
+           zs=st.lists(st.floats(SERIES_CUTOFF, MAX_ARGUMENT,
+                                 exclude_min=True), min_size=1, max_size=6))
+    @example(nu=-0.5, zs=[MAX_ARGUMENT, 8.5, 31.0])
+    @example(nu=_NEAR_MINUS_HALF, zs=[MAX_ARGUMENT, 8.5, 31.0])
+    @example(nu=-0.9, zs=[MAX_ARGUMENT, -MAX_ARGUMENT, 49.9])
+    def test_matches_hyp0f1(self, nu, zs):
+        got = bessel_clifford(nu, np.array(zs))
+        for z, value in zip(zs, got):
+            assert abs(value - _jbar_reference(nu, z)) <= _kernel_bound(z)
+        assert bessel_clifford(nu, zs[-1]) == got[-1]
+
+    @pytest.mark.parametrize("nu", [_NEAR_MINUS_HALF, -0.3, 0.0, 1.0, 9.0])
+    def test_rule_moments(self, nu):
+        # the 32-node rule in u = s^2 is exact for u^j, j < 64:
+        # sum w s^(2j) = (1/2)_j / (nu+1)_j.  The bound is absolute, as the
+        # kernel uses the rule: it sums w times a cosine bounded by 1.
+        s, w = _poisson_rule(nu)
+        assert s.size == 32 and abs(w.sum() - 1.0) <= 1e-15
+        assert np.all((s > 0.0) & (s <= 1.0)) and np.all(w >= 0.0)
+        for j in range(64):
+            exact = float(mp.rf(0.5, j) / mp.rf(mp.mpf(nu) + 1, j))
+            assert abs(np.sum(w * s ** (2 * j)) - exact) <= 2e-15
+
+
+class TestRgamma:
+    def test_poles_and_overflow_are_zero(self):
+        for x in (0.0, -0.0, -1.0, -7.0, 171.7, 1e300, 1e-310):
+            assert rgamma(x) == 0.0
+
+    @pytest.mark.parametrize("x", [1e-8, 0.5, 1.0, 3.25, 100.5, -0.5, -2.5])
+    def test_matches_reciprocal_gamma(self, x):
+        assert rgamma(x) == pytest.approx(float(mp.rgamma(x)), rel=1e-14)
