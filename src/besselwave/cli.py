@@ -33,6 +33,7 @@ from .fields import (GaussianField, PlaneWaveField, PolynomialField,
                      SineProductField, zero_field)
 from .quadrature import MAX_RADIAL_ORDER
 from .solver import ProblemSpec, SolutionEvaluator
+from .special import MAX_DOUBLE_FACTORIAL_P
 from .wave import RuleSet
 
 _KNOWN_KEYS = {
@@ -70,6 +71,14 @@ def _number(raw: dict, key: str, default: str, kind=float):
         return int(text)
     except ValueError:
         raise ConfigError(f"bad {key}: {text!r} is not an integer") from None
+
+
+def _positive(raw: dict, key: str, default: str, kind=float):
+    """_number(raw, key, default, kind), refused unless it is > 0."""
+    value = _number(raw, key, default, kind)
+    if value <= 0:
+        raise ConfigError(f"bad {key}: {value} is not positive")
+    return value
 
 
 def _finite(text: str, what: str) -> float:
@@ -220,11 +229,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("grid.t values must be positive")
 
     verify_opts = {
-        "fd_step": _number(raw, "verify.fd_step", "1e-3"),
-        "probes": _number(raw, "verify.probes", "5", int),
+        "fd_step": _positive(raw, "verify.fd_step", "1e-3"),
+        "probes": _positive(raw, "verify.probes", "5", int),
         "tolerance": _number(raw, "verify.tolerance", "1e-4"),
-        "t0": _number(raw, "verify.t0", "0.1"),
+        "t0": _positive(raw, "verify.t0", "0.1"),
     }
+    m_max = _number(raw, "operators.m_max", "3", int)
+    if not 0 <= m_max <= MAX_DOUBLE_FACTORIAL_P:  # the table uses (2m-1)!!
+        raise ConfigError(f"bad operators.m_max: {m_max} is outside "
+                          f"0..{MAX_DOUBLE_FACTORIAL_P}")
     precision = _number(raw, "output.precision", "17", int)
     if precision < 0:
         raise ConfigError(f"output.precision must be >= 0, got {precision}")
@@ -241,7 +254,7 @@ def parse_config(text: str) -> RunConfig:
         verify_opts=verify_opts,
         csv_path=raw.get("output.csv"),
         precision=precision,
-        operators_m_max=_number(raw, "operators.m_max", "3", int),
+        operators_m_max=m_max,
         convergence_orders=convergence_orders,
     )
 

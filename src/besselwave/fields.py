@@ -14,17 +14,18 @@ and every shipped family has them in closed form (``sphere_mean``):
   * Gaussians: an I_nu closed form and its width derivatives,
 
 with nu = (n-2)/2 (F. John, *Plane Waves and Spherical Means*, 1955).
-Each closed form reads the data at the centre through the field's own
-``eval``.  Linear combinations of (possibly Laplacian-shifted) fields
-are first-class, because the transformed data sets are exactly such
-combinations.
+There is no other way in: a field family must give ``sphere_mean`` as
+it gives ``eval``.  Each closed form reads the data through the field's
+own ``eval`` (the centre value, or a Gaussian's amplitude).  Linear
+combinations of (possibly Laplacian-shifted) fields are first-class,
+because the transformed data sets are exactly such combinations.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +43,10 @@ class SmoothField:
     def eval(self, points: np.ndarray, lap: int = 0) -> np.ndarray:
         raise NotImplementedError
 
-    def sphere_mean(self, x, radii, lap: int = 0):
+    def sphere_mean(self, x, radii, lap: int = 0) -> np.ndarray:
         """Exact mean of Laplacian^lap f over each sphere S(x, r), r in
-        radii, as an array shaped like radii; None when the family has no
-        closed form (callers then integrate over directions)."""
-        return None
+        radii, as an array shaped like radii."""
+        raise NotImplementedError
 
     def _check_order(self, lap: int):
         if lap < 0:
@@ -213,18 +213,17 @@ class GaussianField(SmoothField):
         With d = |x-c|, P = d^2 + r^2 and Ibar_mu(z) = jbar(mu, i z), the
         mean of v^i exp(-a v) is (-d/da)^i [exp(-a P) Ibar_nu(2 a d r)];
         the derivatives close on Ibar_{nu+k} through
-        Ibar_mu'(z) = z Ibar_{mu+1}(z) / (2(mu+1)).  The factor
-        exp(-a d^2) is the centre value eval(x) / amplitude.  Returns None
-        where that factor underflows (the fallback quadrature then sees
-        the data directly).
+        Ibar_mu'(z) = z Ibar_{mu+1}(z) / (2(mu+1)).  With z = 2 a d r,
+        exp(-a P) = exp(-a (d-r)^2) exp(-z), and each exp(-z) Ibar_{nu+k}(z)
+        is at most 1, so the product underflows only where the mean itself
+        is below the normal range, however far x is from the centre.  The
+        amplitude is eval at the centre.
         """
         self._check_order(lap)
         x = np.asarray(x, dtype=float)
         radii = np.asarray(radii, dtype=float)
         a, nu = self.width, (self.dimension - 2) / 2.0
         d = float(np.linalg.norm(x - self.center))
-        if a * d * d > _EXP_LIMIT:
-            return None
         big_p = d * d + radii * radii
         b2 = 4.0 * d * d * radii * radii       # z = a b, b = 2 d r
         # moments[i]: {(p, k): c} for sum c a^p exp(-a P) Ibar_{nu+k}(a b)
@@ -237,17 +236,14 @@ class GaussianField(SmoothField):
                 nxt[p, k] += big_p * c
                 nxt[p + 1, k + 1] -= b2 * c / (2.0 * (nu + k + 1.0))
             moments.append(nxt)
-        ibar = [_damped_ibar(nu + k, 2.0 * a * d * radii, a * radii * radii)
-                for k in range(lap + 1)]
+        z = 2.0 * a * d * radii
+        ibar = [_damped_ibar(nu + k, z) for k in range(lap + 1)]
         total = np.zeros_like(radii)
         for coeff, terms in zip(self._radial_polys[lap], moments):
             for (p, k), c in terms.items():
                 total = total + coeff * a ** p * c * ibar[k]
-        return self.eval(x[None, :])[0] * total
-
-
-# exp(-_EXP_LIMIT) is still a normal float64
-_EXP_LIMIT = 700.0
+        amplitude = self.eval(self.center[None, :])[0]
+        return amplitude * np.exp(-a * (d - radii) ** 2) * total
 
 
 #: Where _damped_ibar switches from the power series to Hankel's expansion.
@@ -257,9 +253,10 @@ _EXP_LIMIT = 700.0
 _HANKEL_CUTOFF = 40.0
 
 
-def _damped_ibar(mu: float, z: np.ndarray, damp: np.ndarray) -> np.ndarray:
-    """exp(-damp) * Ibar_mu(z), Ibar_mu(z) = Gamma(mu+1) (z/2)^-mu I_mu(z),
-    for z >= 0 and mu > -1.
+def _damped_ibar(mu: float, z: np.ndarray) -> np.ndarray:
+    """exp(-z) * Ibar_mu(z), Ibar_mu(z) = Gamma(mu+1) (z/2)^-mu I_mu(z),
+    for z >= 0 and mu > -1; for mu >= -1/2 it lies in (0, 1], so
+    nothing overflows.
 
     Below _HANKEL_CUTOFF (which covers d = 0 and r = 0) the power series
     Ibar_mu(z) = 0F1(; mu+1; z^2/4) goes through the Bessel-Clifford
@@ -271,24 +268,19 @@ def _damped_ibar(mu: float, z: np.ndarray, damp: np.ndarray) -> np.ndarray:
         a_k(mu) = (4mu^2 - 1^2)(4mu^2 - 3^2)...(4mu^2 - (2k-1)^2) / (k! 8^k),
 
     is summed by Horner in 1/z up to the first term below 1e-17 at the
-    smallest z, and multiplied by exp(z - damp), so that exp(z) never
-    forms on its own.  Its exponentially small second part, e^-z I_mu's
-    partner, is below e^-80 relative and is dropped.  Both branches are
-    accurate to about 1e-13 relative wherever the result is a normal
-    float; exp(z - damp) contributes eps |z - damp| of that.
+    smallest z; its factor e^z cancels exp(-z) exactly.  Its
+    exponentially small second part, e^-z I_mu's partner, is below e^-80
+    relative and is dropped.  Both branches are accurate to about 1e-13
+    relative.
     """
     out = np.empty_like(z)
     small = z < _HANKEL_CUTOFF
     zs = z[small]
-    # exp(-damp/2) twice: exp(-damp) alone is subnormal from damp = 708 on,
-    # where Ibar_mu(z) <= e^40 can still lift the product into normal range
-    half = np.exp(-0.5 * damp[small])
-    out[small] = _hyp0f1(mu, 0.25 * zs * zs) * half * half
+    out[small] = _hyp0f1(mu, 0.25 * zs * zs) * np.exp(-zs)
     zl = z[~small]
     if zl.size:
         out[~small] = (gamma(mu + 1.0) * (zl / 2.0) ** (-mu)
-                       * _hankel_sum(mu, zl) / np.sqrt(2.0 * math.pi * zl)
-                       * np.exp(zl - damp[~small]))
+                       * _hankel_sum(mu, zl) / np.sqrt(2.0 * math.pi * zl))
     return out
 
 
@@ -341,7 +333,7 @@ class FieldSum(SmoothField):
         return vals
 
     def sphere_mean(self, x, radii, lap=0):
-        """Sum of the terms' closed forms; None if one term has none.
+        """Sum of the terms' closed forms.
 
         Terms on the same eigenfield f differ only by the factor
         eigenvalue^(lap+shift), so they are merged into one coefficient
@@ -353,12 +345,8 @@ class FieldSum(SmoothField):
             if isinstance(f, LaplaceEigenfield):
                 eigen[f] = (eigen.get(f, 0.0)
                             + coeff * f.eigenvalue ** (lap + shift))
-                continue
-            closed_form = getattr(f, "sphere_mean", None)
-            mean = closed_form(x, radii, lap + shift) if closed_form else None
-            if mean is None:
-                return None
-            total = total + coeff * mean
+            else:
+                total = total + coeff * f.sphere_mean(x, radii, lap + shift)
         for f, coeff in eigen.items():
             total = total + coeff * f.sphere_mean(x, radii)
         return total
@@ -370,12 +358,6 @@ class FieldSum(SmoothField):
 
 def zero_field(dimension: int) -> FieldSum:
     return FieldSum([], dimension)
-
-
-def iterated_laplacian(f: SmoothField, x, j: int) -> float:
-    """Exact analytic value of Laplacian^j f at a single point."""
-    x = np.asarray(x, dtype=float)
-    return float(f.eval(x[None, :], lap=j)[0])
 
 
 def coefficient_a(j: int, alpha: float) -> float:
@@ -402,7 +384,6 @@ class TransformedData:
     f: list
     g: list
     a_coeffs: list
-    warnings: list = dc_field(default_factory=list)
 
     @property
     def m(self) -> int:
@@ -490,15 +471,9 @@ def build_psi_star_data(psi_star: list, m: int, lam: float,
     back to plain even derivatives, the 1/(1-2 alpha) normalisation from
     the weighted first-derivative condition, and the usual capital
     transform.  The spatial operator in the reduced data is the
-    Laplacian, mirroring the even-data construction.  Outside
-    0 < alpha < 1/2 the combinations remain evaluable but a warning is
-    attached to the output.
+    Laplacian, mirroring the even-data construction.  The callers refuse
+    alpha outside (0, 1/2), the route's validity window.
     """
-    warnings = []
-    if not (0.0 < alpha < 0.5):
-        warnings.append(
-            f"alpha={alpha} outside (0, 1/2); the weighted-data route is "
-            "formally outside its validity window")
     alpha_c = 1.0 - alpha
     scale = 1.0 / (1.0 - 2.0 * alpha) if alpha != 0.5 else math.inf
     phi_equiv = []
@@ -512,6 +487,4 @@ def build_psi_star_data(psi_star: list, m: int, lam: float,
             den *= (alpha_c + 0.5) + i
         phi_equiv.append(FieldSum([(scale * num / den, 0, psi_star[k])],
                                   psi_star[k].dimension))
-    data = build_transformed_data(phi_equiv, [], m, lam, alpha_c)
-    data.warnings.extend(warnings)
-    return data
+    return build_transformed_data(phi_equiv, [], m, lam, alpha_c)

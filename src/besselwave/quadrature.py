@@ -20,12 +20,14 @@ Bernstein ellipse of (0, 1) with rho = 3 + 2 sqrt(2), so inner products
 of degree < 2N polynomials err by O(rho^(-2(M-N))); M = 2N + 40 puts
 that far below roundoff.
 
-The spherical means are the one interface to the data.  Fields that
-provide ``sphere_mean`` (every shipped family) give them in closed form,
-so a ball integral costs one mean per radial node.  Plain callables and
-fields without a closed form fall back to a direction rule on the unit
-sphere (n in {1, 2, 3}), evaluated in chunks of at most
-_MAX_POINTS_PER_CHUNK space points.
+The spherical means are the one interface to the data: every field
+gives them in closed form (``SmoothField.sphere_mean``), so a ball
+integral costs one mean per radial node and no direction rule on the
+sphere is ever summed.  ``SphereRule`` survives only as a parameter of
+``ball_kernel_integral_many`` that the solver does not read:
+bench/tracer.py counts its weights as the ball's node count
+(ROADMAP item 1), and the tests build direction-rule references from
+it.
 """
 
 from __future__ import annotations
@@ -38,9 +40,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ContractError, DomainError
 from .special import bessel_clifford, sphere_area_const
-
-# Chunk limit for batched fallback field evaluations (number of space points).
-_MAX_POINTS_PER_CHUNK = 4_000_000
 
 #: Largest radial order (a build solves eigenproblems of size 2*order + 40).
 MAX_RADIAL_ORDER = 256
@@ -65,9 +64,8 @@ class SphereRule:
     """Quadrature on the unit sphere in R^n, n in {1, 2, 3}.
 
     weights sum to omega_n; directions are unit vectors of shape (S, n).
-    Only the fallback for fields without closed-form sphere means reads
-    them, so they are built (and cached) on first access; a dimension
-    outside {1, 2, 3} raises DomainError there.
+    The solver never reads them, so they are built (and cached) on first
+    access; a dimension outside {1, 2, 3} raises DomainError there.
     """
 
     dimension: int
@@ -164,65 +162,23 @@ def _sphere_nodes_cached(n: int, order: int):
     return directions, weights
 
 
-def make_sphere_rule(n: int, order: int) -> SphereRule:
-    """Sphere rule with its directions built now (DomainError for n > 3)."""
-    rule = SphereRule(int(n), int(order))
-    _sphere_nodes_cached(rule.dimension, rule.order)
-    return rule
-
-
-def _field_values(f, points: np.ndarray) -> np.ndarray:
-    if hasattr(f, "eval"):
-        return f.eval(points)
-    return np.asarray(f(points), dtype=float)
-
-
-def _closed_form_means(f, x: np.ndarray, radii: np.ndarray):
-    """Exact sphere means of f about x when f has them, else None."""
-    closed_form = getattr(f, "sphere_mean", None)
-    return closed_form(x, radii) if closed_form else None
-
-
-def sphere_mean(f, x, r: float, rule: SphereRule) -> float:
-    """Arithmetic mean of f over the sphere S(x, r); f(x) at r = 0."""
-    if r < 0.0:
-        raise DomainError("sphere radius must be non-negative")
-    return float(sphere_means_many(f, x, np.array([r]), rule)[0])
-
-
-def sphere_means_many(f, x, radii: np.ndarray, rule: SphereRule) -> np.ndarray:
-    """Sphere means of f about x for a whole vector of radii at once:
-    closed form when f has one, the direction rule otherwise."""
-    x = np.asarray(x, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    means = _closed_form_means(f, x, radii)
-    if means is not None:
-        return means
-    pts = x[None, None, :] + radii[:, None, None] * rule.directions[None, :, :]
-    vals = _field_values(f, pts.reshape(-1, x.size)).reshape(radii.size, -1)
-    return vals @ rule.weights / sphere_area_const(rule.dimension)
-
-
-def ball_kernel_integral(f, x, t: float, beta: float, nu: float, lam: float,
-                         radial: RadialRule, sphere: SphereRule) -> float:
-    """Weighted ball integral
-
-        int_{|xi-x|<t} (t^2-|xi-x|^2)^beta jbar(nu, lam*sqrt(t^2-|xi-x|^2))
-                       f(xi) dxi
-
-    via the substitution r = t*s, whose kernel the radial rule absorbs.
-    """
-    return float(ball_kernel_integral_many(
-        f, x, np.array([t]), beta, nu, lam, radial, sphere)[0])
+def sphere_means_many(f, x, radii: np.ndarray) -> np.ndarray:
+    """Exact sphere means of the field f about x for a vector of radii."""
+    return f.sphere_mean(np.asarray(x, dtype=float),
+                         np.asarray(radii, dtype=float))
 
 
 def ball_kernel_integral_many(f, x, tvals: np.ndarray, beta: float, nu: float,
                               lam: float, radial: RadialRule,
                               sphere: SphereRule) -> np.ndarray:
-    """Vectorised ball kernel integral over a batch of radii t > 0.
+    """Weighted ball integrals over a batch of radii t > 0,
 
-    One closed-form sphere mean per (t, s) node when f has them; the
-    direction rule ``sphere`` is read only for the fallback.
+        int_{|xi-x|<t} (t^2-|xi-x|^2)^beta jbar(nu, lam*sqrt(t^2-|xi-x|^2))
+                       f(xi) dxi,
+
+    via the substitution r = t*s, whose kernel the radial rule absorbs:
+    one closed-form sphere mean per (t, s) node.  ``sphere`` is not read
+    (module docstring).
     """
     if radial.beta != beta:
         raise ContractError(
@@ -231,33 +187,13 @@ def ball_kernel_integral_many(f, x, tvals: np.ndarray, beta: float, nu: float,
     tvals = np.asarray(tvals, dtype=float)
     if np.any(tvals <= 0.0):
         raise DomainError("ball integral needs t > 0")
-    n = x.size
-    s = radial.nodes
-    n_t, n_r = tvals.size, s.size
-    root = np.sqrt(1.0 - s * s)
-    radial_w = radial.weights * s ** (n - 1)
-
-    def radial_sum(tc, sphere_sums):
-        # sphere_sums[i, j]: integral of f over S(x, tc[i] * s[j]) / radius^(n-1)
-        if lam != 0.0:
-            kern = bessel_clifford(nu, lam * tc[:, None] * root[None, :])
-        else:
-            kern = 1.0
-        return tc ** (n + 2.0 * beta) * np.sum(radial_w * kern * sphere_sums,
-                                               axis=-1)
-
-    means = _closed_form_means(f, x, (tvals[:, None] * s[None, :]).ravel())
-    if means is not None:
-        return radial_sum(tvals, sphere_area_const(n) * means.reshape(n_t, n_r))
-
-    n_s = sphere.weights.size
-    out = np.empty(n_t)
-    chunk = max(1, _MAX_POINTS_PER_CHUNK // (n_r * n_s))
-    for start in range(0, n_t, chunk):
-        tc = tvals[start:start + chunk]
-        pts = (x[None, None, None, :]
-               + tc[:, None, None, None] * s[None, :, None, None]
-               * sphere.directions[None, None, :, :])
-        vals = _field_values(f, pts.reshape(-1, n)).reshape(tc.size, n_r, n_s)
-        out[start:start + chunk] = radial_sum(tc, vals @ sphere.weights)
-    return out
+    n, s = x.size, radial.nodes
+    radii = tvals[:, None] * s[None, :]
+    sphere_sums = sphere_area_const(n) * f.sphere_mean(
+        x, radii.ravel()).reshape(radii.shape)
+    if lam != 0.0:
+        kern = bessel_clifford(nu, lam * tvals[:, None] * np.sqrt(1.0 - s * s))
+    else:
+        kern = 1.0
+    return tvals ** (n + 2.0 * beta) * np.sum(
+        radial.weights * s ** (n - 1) * kern * sphere_sums, axis=-1)

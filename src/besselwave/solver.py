@@ -30,8 +30,7 @@ from .errors import ContractError, DomainError
 from .fields import (TransformedData, build_psi_star_data,
                      build_transformed_data, psi_star_from_psi)
 from .quadrature import MAX_RADIAL_ORDER, make_radial_rule
-from .special import pochhammer
-from .transmute import EKParams, bessel_op_apply, lowndes_apply_many
+from .transmute import EKParams, lowndes_apply_many
 from .wave import (PolyWaveProblem, RuleSet, ball_series,
                    polywave_solve_even_many, polywave_solve_odd_many)
 
@@ -251,44 +250,3 @@ class SolutionEvaluator:
 
     def __call__(self, x, t: float) -> float:
         return float(self.profile(x, np.array([float(t)]))[0])
-
-
-def check_lemma2_conditions(spec: ProblemSpec, u: SolutionEvaluator, x,
-                            t0: float = 2e-2) -> dict:
-    """Verify that the iterated singular-operator traces of the solution
-    recover the Pochhammer-rescaled data:
-
-        [B_{alpha-1/2}^t]^k u |_{t->0} = ((alpha+1/2)_k / (1/2)_k) phi_k,
-
-    with vanishing first t-derivative, by small-t Richardson ladders.
-    Returns a report dict per k.
-    """
-    alpha = spec.alpha
-    x = np.asarray(x, dtype=float)
-    report = {}
-
-    def u_of_t(tv):
-        tv = np.atleast_1d(np.asarray(tv, dtype=float))
-        return u.profile(x, tv)
-
-    for k in range(spec.m):
-        target = (pochhammer(alpha + 0.5, k) / pochhammer(0.5, k)
-                  * float(spec.fields[k].eval(x[None, :])[0]))
-        ladder = []
-        for tv in (t0, t0 / 2.0, t0 / 4.0):
-            h = tv / 8.0
-            ladder.append(bessel_op_apply(u_of_t, alpha - 0.5, k, tv, h))
-        # even expansion in t: two Richardson levels with ratio 4
-        r1 = [(4.0 * ladder[i + 1] - ladder[i]) / 3.0 for i in range(2)]
-        limit = (16.0 * r1[1] - r1[0]) / 15.0
-        dval = bessel_op_apply(u_of_t, alpha - 0.5, k, t0, t0 / 8.0)
-        dnext = bessel_op_apply(u_of_t, alpha - 0.5, k, t0 / 2.0, t0 / 16.0)
-        odd_deriv = abs(dval - dnext) / (t0 / 2.0)  # crude slope bound
-        report[k] = {
-            "target": target,
-            "estimate": limit,
-            "error": abs(limit - target),
-            "ladder": ladder,
-            "odd_derivative_scale": odd_deriv,
-        }
-    return report

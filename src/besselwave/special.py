@@ -11,7 +11,7 @@ counterpart Ibar_nu(z) = 0F1(; nu+1; z^2/4) shares the coefficients
 c_k = 1/((nu+1)_k k!), so both are summed by one core, ``_hyp0f1``:
 
   * the term count K is fixed once per call from the largest |w| in the
-    argument array: the smallest K with |c_K| max|w|^K <= term_tolerance.
+    argument array: the smallest K with |c_K| max|w|^K <= _TERM_TOL.
     One scalar recurrence yields K and c_0..c_K together, which costs
     less than looking a table up;
   * the polynomial sum_{k<=K} c_k w^k is evaluated by in-place Horner,
@@ -55,7 +55,6 @@ amplifies it by z^2/(4(nu+1)(nu+2)) instead: 4.9e-11 at nu = -0.9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,8 +67,13 @@ MAX_ARGUMENT = 50.0
 #: Below this |z| the series is used (largest term ~1e2, full accuracy).
 SERIES_CUTOFF = 8.0
 
-DEFAULT_MAX_TERMS = 200
-DEFAULT_TERM_TOL = 1e-16
+#: Absolute tolerance of the series' last term bound, and the term count
+#: past which the series gives up with AccuracyError.
+_TERM_TOL = 1e-16
+_MAX_TERMS = 200
+
+#: Largest p of double_factorial_odd: (2p-1)!! stays below the float range.
+MAX_DOUBLE_FACTORIAL_P = 150
 
 #: Nodes of the Poisson-integral rule: its Gauss error at |z| = MAX_ARGUMENT
 #: is 6e-39 with 32 nodes and 8e-19 with 24 (module docstring).
@@ -90,32 +94,7 @@ def rgamma(x: float) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
-class BesselCliffordParams:
-    """Evaluation parameters for the Bessel-Clifford series.
-
-    order must satisfy order > -1 (so (order+1)_k never hits zero).  The
-    series sums the terms k = 0..K, where K is the smallest count whose
-    term bound |c_K| max|w|^K (w = -z^2/4 over the whole argument array)
-    is at most term_tolerance; the tolerance is absolute, not relative to
-    the partial sum.  AccuracyError if K would exceed max_terms.
-    """
-
-    order: float
-    max_terms: int = DEFAULT_MAX_TERMS
-    term_tolerance: float = DEFAULT_TERM_TOL
-
-    def __post_init__(self):
-        if self.order <= -1.0:
-            raise DomainError(f"Bessel-Clifford order must be > -1, got {self.order}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be a positive integer")
-        if self.term_tolerance <= 0.0:
-            raise DomainError("term_tolerance must be positive")
-
-
-def _hyp0f1(nu: float, w: np.ndarray, max_terms: int = DEFAULT_MAX_TERMS,
-            term_tolerance: float = DEFAULT_TERM_TOL) -> np.ndarray:
+def _hyp0f1(nu: float, w: np.ndarray) -> np.ndarray:
     """0F1(; nu+1; w) = sum_k c_k w^k, c_k = 1/((nu+1)_k k!), for nu > -1
     and a float array w with |w| <= MAX_ARGUMENT^2 / 4.
 
@@ -123,16 +102,16 @@ def _hyp0f1(nu: float, w: np.ndarray, max_terms: int = DEFAULT_MAX_TERMS,
     term bound |c_k| max|w|^k rises to one peak and then falls; with
     |w| <= 625 and nu + 1 >= 2^-53 the peak stays below 1e40, so the
     recurrence cannot overflow.  AccuracyError if K would exceed
-    max_terms.
+    _MAX_TERMS.
     """
     w_max = float(np.max(np.abs(w), initial=0.0))
     coeffs = [1.0]
     bound = 1.0
-    while bound > term_tolerance:
+    while bound > _TERM_TOL:
         k = len(coeffs)
-        if k > max_terms:
+        if k > _MAX_TERMS:
             raise AccuracyError(
-                f"Bessel-Clifford series did not converge in {max_terms} terms")
+                f"Bessel-Clifford series did not converge in {_MAX_TERMS} terms")
         step = 1.0 / ((nu + k) * k)
         coeffs.append(coeffs[-1] * step)
         bound *= w_max * step
@@ -187,14 +166,12 @@ def _poisson_jbar(nu: float, z: np.ndarray) -> np.ndarray:
                   axis=-1)
 
 
-def bessel_clifford(nu: float, z, *, params: BesselCliffordParams | None = None):
+def bessel_clifford(nu: float, z):
     """Evaluate jbar(nu, z): series for small |z|, Poisson's integral beyond.
 
-    Accepts a scalar or an ndarray argument.  Passing explicit params
-    forces the series branch everywhere (series parameters would be
-    meaningless otherwise).  Raises DomainError for nu <= -1 or a
-    non-finite z, AccuracyError for |z| > MAX_ARGUMENT or if the series
-    needs more than max_terms terms.
+    Accepts a scalar or an ndarray argument.  Raises DomainError for
+    nu <= -1 or a non-finite z, AccuracyError for |z| > MAX_ARGUMENT or
+    if the series needs more than _MAX_TERMS terms.
     """
     if not (nu > -1.0 and math.isfinite(nu)):
         raise DomainError(
@@ -209,10 +186,7 @@ def bessel_clifford(nu: float, z, *, params: BesselCliffordParams | None = None)
         raise AccuracyError(
             f"|z| > {MAX_ARGUMENT} is outside the documented range")
 
-    if params is not None:
-        out = _hyp0f1(nu, -0.25 * za * za, params.max_terms,
-                      params.term_tolerance)
-    elif z_max <= SERIES_CUTOFF:
+    if z_max <= SERIES_CUTOFF:
         out = _hyp0f1(nu, -0.25 * za * za)
     else:
         out = np.empty_like(za)
@@ -241,8 +215,9 @@ def double_factorial_odd(p: int) -> int:
     """
     if p < 0:
         raise DomainError("p must be non-negative")
-    if p > 150:
-        raise DomainError("(2p-1)!! exceeds float range for p > 150")
+    if p > MAX_DOUBLE_FACTORIAL_P:
+        raise DomainError(f"(2p-1)!! exceeds float range for "
+                          f"p > {MAX_DOUBLE_FACTORIAL_P}")
     result = 1
     for j in range(1, 2 * p, 2):
         result *= j

@@ -33,15 +33,17 @@ from .special import double_factorial_odd, rgamma, sphere_area_const
 
 _TINY_T = 1e-30
 
+#: Relative step h/t of the finite differences in (1/t d/dt)^q.
+FD_STEP_REL = 1e-4
+
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Quadrature orders and the finite-difference step shared by all
-    point evaluations."""
+    """Quadrature orders shared by all point evaluations.  sphere_order
+    changes no value: every mean is exact (``quadrature`` docstring)."""
 
     radial_order: int = 48
     sphere_order: int = 24
-    fd_step_rel: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -130,16 +132,15 @@ def ball_series_constants(n: int, beta0: float, m: int) -> tuple[list, float]:
     return weights, c / (double_factorial_odd(p) * omega)
 
 
-def _surface_term(field, x, n: int, sphere):
+def _surface_term(field, x, n: int):
     """(1/t) * integral of field over the sphere |xi-x| = t, as a smooth
-    vectorised function of t:  omega_n t^{n-2} * sphere mean.  The mean
-    is the field's closed form; the direction rule `sphere` is only the
-    fallback for fields without one."""
+    vectorised function of t:  omega_n t^{n-2} * the field's exact
+    sphere mean."""
     omega = sphere_area_const(n)
 
     def g(tvals: np.ndarray) -> np.ndarray:
         tvals = np.asarray(tvals, dtype=float)
-        means = sphere_means_many(field, x, np.abs(tvals), sphere)
+        means = sphere_means_many(field, x, np.abs(tvals))
         return omega * tvals ** (n - 2) * means
 
     return g
@@ -159,14 +160,14 @@ def ball_series(fields, x, tvals, n: int, beta0: float, lam: float, q: int,
     """
     tvals = np.asarray(tvals, dtype=float)
     weights, const = ball_series_constants(n, beta0, len(fields))
-    sphere = SphereRule(n, rules.sphere_order)
+    sphere = SphereRule(n, rules.sphere_order)  # not read (quadrature docstring)
     total = np.zeros_like(tvals)
     for k, (weight, fld) in enumerate(zip(weights, fields)):
         if not fld.terms:
             continue
         beta = beta0 + k
         if beta == -1.0 and lam == 0.0:
-            weight, inner = 0.5, _surface_term(fld, x, n, sphere)
+            weight, inner = 0.5, _surface_term(fld, x, n)
         else:
             radial = make_radial_rule(beta, rules.radial_order)
 
@@ -175,7 +176,7 @@ def ball_series(fields, x, tvals, n: int, beta0: float, lam: float, q: int,
                     fld, x, np.asarray(ts, dtype=float), beta, beta, lam,
                     radial, sphere)
 
-        total += weight * radial_time_operator(inner, q, rules.fd_step_rel)(tvals)
+        total += weight * radial_time_operator(inner, q, FD_STEP_REL)(tvals)
     return const * tvals ** t_power * total
 
 
@@ -186,10 +187,6 @@ def _polywave(x, tvals, problem: PolyWaveProblem, rules: RuleSet,
     n, data, q = problem.n, problem.data, problem.n // 2
     return (ball_series(data.f, x, tvals, n, beta0, 0.0, q, 1.0, rules)
             + ball_series(data.g, x, tvals, n, beta0, 0.0, q - 1, 0.0, rules))
-
-
-def polywave_solve_odd(x, t, problem: PolyWaveProblem, rules: RuleSet) -> float:
-    return float(polywave_solve_odd_many(x, np.array([t]), problem, rules)[0])
 
 
 def polywave_solve_odd_many(x, tvals: np.ndarray, problem: PolyWaveProblem,

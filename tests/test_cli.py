@@ -10,6 +10,7 @@ from besselwave.cli import main, parse_config, parse_field_spec
 from besselwave.errors import ConfigError
 from besselwave.fields import (GaussianField, PlaneWaveField, PolynomialField,
                                SineProductField)
+from besselwave.solver import ProblemSpec, SolutionEvaluator
 from besselwave.special import bessel_clifford
 
 GOOD_CONFIG = """\
@@ -295,6 +296,78 @@ class TestSolveCommand:
             t, u = (float(v) for v in row.split(",")[-2:])
             exact = centre * bessel_clifford(0.5, np.sqrt(2.0) * t)
             assert u == pytest.approx(exact, abs=1e-6)
+
+
+class TestFarGaussian:
+    """A Gaussian whose value at x underflows (a d^2 = 1800) but whose
+    sphere means at t ~ d do not."""
+
+    CONFIG = """\
+problem.n = 3
+problem.m = 1
+problem.gamma = 0.5
+problem.lambda = 0.5
+data.phi0 = gaussian:width=2,center=30 0 0
+grid.x = 0 0 0
+grid.t = 29.5
+"""
+
+    class ElementaryGaussian(GaussianField):
+        """n = 3, lap = 0, d r > 0: the mean is elementary,
+        A exp(-a(d-r)^2) (1 - exp(-4adr)) / (4adr)."""
+
+        def sphere_mean(self, x, radii, lap=0):
+            assert lap == 0 and self.dimension == 3
+            a, d = self.width, np.linalg.norm(x - self.center)
+            z = 4.0 * a * d * radii
+            return (self.amplitude * np.exp(-a * (d - radii) ** 2)
+                    * -np.expm1(-z) / z)
+
+    def test_sphere_order_changes_nothing(self, tmp_path):
+        csvs = []
+        for order in (24, 96):
+            cfg = tmp_path / f"far{order}.cfg"
+            cfg.write_text(self.CONFIG + f"quadrature.sphere_order = {order}\n")
+            out = tmp_path / f"far{order}.csv"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        u = float(csvs[0].decode().splitlines()[1].split(",")[-1])
+        spec = ProblemSpec(n=3, m=1, gamma_param=0.5, lam=0.5, fields=(
+            self.ElementaryGaussian(2.0, np.array([30.0, 0.0, 0.0])),))
+        exact_mean = SolutionEvaluator(spec).profile(np.zeros(3),
+                                                     np.array([29.5]))[0]
+        assert u == pytest.approx(exact_mean, rel=1e-12)
+        assert u == pytest.approx(2.0791e-5, rel=1e-4)
+
+
+class TestOutOfRangeKeys:
+    @pytest.mark.parametrize("command, key, value", [
+        ("verify", "verify.probes", "0"),
+        ("verify", "verify.probes", "-1"),
+        ("verify", "verify.fd_step", "0"),
+        ("verify", "verify.fd_step", "-1e-3"),
+        ("verify", "verify.t0", "0"),
+        ("verify", "verify.t0", "-0.1"),
+        ("operators", "operators.m_max", "-1"),
+        ("operators", "operators.m_max", "151"),
+        ("operators", "operators.m_max", "400"),
+        ("operators", "operators.m_max", "4000"),
+    ])
+    def test_exit_1_naming_the_key(self, tmp_path, capsys, command, key,
+                                   value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG + f"{key} = {value}\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert key in err
+
+    def test_largest_m_max_runs(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG + "operators.m_max = 150\n")
+        assert main(["operators", "--config", str(cfg)]) == 0
+        assert "m=150:" in capsys.readouterr().out
 
 
 class TestOperatorsCommand:

@@ -10,9 +10,8 @@ from besselwave.errors import CapabilityError, DomainError
 from besselwave.fields import (FieldSum, GaussianField, PlaneWaveField,
                                PolynomialField, SineProductField, SmoothField,
                                build_psi_star_data, build_transformed_data,
-                               coefficient_a, iterated_laplacian,
-                               psi_star_from_psi, zero_field)
-from besselwave.quadrature import make_sphere_rule, sphere_means_many
+                               coefficient_a, psi_star_from_psi, zero_field)
+from besselwave.quadrature import SphereRule
 from besselwave.special import sphere_area_const
 
 
@@ -34,25 +33,25 @@ class TestFieldFamilies:
         pw = PlaneWaveField(k, phase=0.3, amplitude=1.5)
         x = np.array([0.4, 0.1, -0.7])
         v0 = 1.5 * math.cos(float(k @ x) + 0.3)
-        assert iterated_laplacian(pw, x, 0) == pytest.approx(v0, rel=1e-14)
+        assert pw.eval(x[None, :], 0)[0] == pytest.approx(v0, rel=1e-14)
         k4 = float(k @ k) ** 2
-        assert iterated_laplacian(pw, x, 2) == pytest.approx(k4 * v0, rel=1e-13)
+        assert pw.eval(x[None, :], 2)[0] == pytest.approx(k4 * v0, rel=1e-13)
 
     def test_sine_product_eigen(self):
         k = np.array([1.1, 0.4])
         f = SineProductField(k, amplitude=0.7)
         x = np.array([0.9, -0.6])
         v0 = 0.7 * math.sin(1.1 * 0.9) * math.sin(0.4 * -0.6)
-        assert iterated_laplacian(f, x, 0) == pytest.approx(v0, rel=1e-13)
-        assert iterated_laplacian(f, x, 1) == pytest.approx(
+        assert f.eval(x[None, :], 0)[0] == pytest.approx(v0, rel=1e-13)
+        assert f.eval(x[None, :], 1)[0] == pytest.approx(
             f.eigenvalue * v0, rel=1e-13)
 
     def test_polynomial_radius_squared(self):
         # |x|^2 in R^3: Laplacian is 6, then 0
         f = PolynomialField({(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}, 3)
         x = np.array([0.3, -1.2, 0.5])
-        assert iterated_laplacian(f, x, 1) == pytest.approx(6.0, rel=1e-14)
-        assert iterated_laplacian(f, x, 2) == 0.0
+        assert f.eval(x[None, :], 1)[0] == pytest.approx(6.0, rel=1e-14)
+        assert f.eval(x[None, :], 2)[0] == 0.0
 
     def test_polynomial_bad_index(self):
         with pytest.raises(DomainError):
@@ -61,7 +60,7 @@ class TestFieldFamilies:
     def test_gaussian_laplacian_matches_fd(self):
         g = GaussianField(0.8, np.array([0.2, -0.1]), amplitude=2.0)
         x = np.array([0.7, 0.4])
-        exact = iterated_laplacian(g, x, 1)
+        exact = g.eval(x[None, :], 1)[0]
         e1 = abs(fd_laplacian(g, x, 1e-3) - exact)
         e2 = abs(fd_laplacian(g, x, 5e-4) - exact)
         assert e2 <= 0.3 * e1 + 1e-12
@@ -69,7 +68,7 @@ class TestFieldFamilies:
     def test_gaussian_order_cap(self):
         g = GaussianField(1.0, np.zeros(2))
         with pytest.raises(CapabilityError):
-            iterated_laplacian(g, np.zeros(2), 4)
+            g.eval(np.zeros((1, 2)), 4)
 
     def test_gaussian_width_guard(self):
         with pytest.raises(DomainError):
@@ -77,7 +76,7 @@ class TestFieldFamilies:
 
     def test_negative_laplacian_order(self):
         with pytest.raises(DomainError):
-            iterated_laplacian(PlaneWaveField(np.ones(2)), np.zeros(2), -1)
+            PlaneWaveField(np.ones(2)).eval(np.zeros((1, 2)), -1)
 
 
 class TestFieldSum:
@@ -121,7 +120,7 @@ def _quadrature_means(f, x, radii, lap):
     """High-order direction-rule means of Laplacian^lap f, with the largest
     integrand magnitude on each sphere as the scale of the error."""
     n = x.size
-    rule = make_sphere_rule(n, 48)
+    rule = SphereRule(n, 48)
     pts = x[None, None, :] + radii[:, None, None] * rule.directions[None]
     vals = f.eval(pts.reshape(-1, n), lap).reshape(radii.size, -1)
     return vals @ rule.weights / sphere_area_const(n), np.max(np.abs(vals), axis=1)
@@ -151,12 +150,42 @@ class TestSphereMean:
                   PolynomialField({(2, 1, 0): 1.5, (0, 0, 4): -0.5}, 3)):
             for lap in range(3):
                 assert f.sphere_mean(x, np.array([0.0]), lap)[0] == \
-                    pytest.approx(iterated_laplacian(f, x, lap), rel=1e-14)
+                    pytest.approx(f.eval(x[None, :], lap)[0], rel=1e-14)
 
-    def test_gaussian_far_from_centre_has_no_closed_form(self):
-        # exp(-a d^2) underflows: the mean is left to the quadrature
-        g = GaussianField(2.0, np.zeros(2))
-        assert g.sphere_mean(np.array([30.0, 0.0]), np.array([1.0])) is None
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(1e-3, 100.0), q=st.floats(0.0, 1e4),
+           amplitude=st.floats(0.5, 2.0),
+           offsets=st.lists(st.floats(-1.2, 1.2), min_size=1, max_size=6))
+    # d = 30, a = 2: the data of TestFarGaussian in test_cli.py
+    @example(a=2.0, q=1800.0, amplitude=1.0, offsets=[-0.5 / 18.87, 0.0])
+    @example(a=1.0, q=0.0, amplitude=1.0, offsets=[0.0, 0.3, 1.2])
+    def test_gaussian_matches_elementary_mean_n3(self, a, q, amplitude,
+                                                 offsets):
+        # n = 3: the mean of A exp(-a|xi-c|^2) over S(x, r), d = |x-c|, is
+        #   A exp(-a(d-r)^2) (1 - exp(-4adr)) / (4adr).
+        # a d^2 = q reaches 1e4 (exp(-a d^2) alone underflows from ~745);
+        # radii span |d-r| <= 1.2 sqrt(745/a), across the underflow edge
+        d = math.sqrt(q / a)
+        g = GaussianField(a, np.array([d, 0.0, 0.0]), amplitude)
+        radii = np.abs(d + np.array(offsets) * math.sqrt(745.0 / a))
+        got = g.sphere_mean(np.zeros(3), radii)
+        # exp(-x) is as accurate as x: one rounding of x near 700 moves it
+        # by ~1e-13 relative.  `shared` takes the float64 exponent, `exact`
+        # allows for its roundings
+        expo = a * (d - radii) ** 2
+        with mp.workdps(40):
+            for r, x_rounded, value in zip(radii, expo, got):
+                z = 4 * mp.mpf(a) * mp.mpf(d) * mp.mpf(r)
+                ratio = -mp.expm1(-z) / z if z else mp.mpf(1)
+                exact = float(amplitude * ratio * mp.exp(
+                    -mp.mpf(a) * (mp.mpf(d) - mp.mpf(r)) ** 2))
+                shared = float(amplitude * ratio * mp.exp(-mp.mpf(x_rounded)))
+                if exact < np.finfo(float).tiny:
+                    assert abs(value - exact) <= np.finfo(float).tiny
+                    continue
+                assert abs(value - shared) <= 1e-13 * shared
+                assert abs(value - exact) <= ((1e-13 + 4.5e-16 * x_rounded)
+                                              * exact)
 
     def test_field_sum_combines_terms(self):
         pw = PlaneWaveField(np.array([0.5, -0.9]), phase=0.3)
@@ -168,26 +197,9 @@ class TestSphereMean:
         assert np.allclose(fs.sphere_mean(x, radii), expected, rtol=1e-15,
                            atol=0)
 
-    def test_field_sum_without_closed_form_falls_back(self):
-        class Opaque(SmoothField):  # no sphere_mean: only eval is known
-            dimension = 3
-
-            def eval(self, points, lap=0):
-                points = np.atleast_2d(points)
-                return np.exp(points[:, 0]) * np.cos(points[:, 1])
-
-        pw = PlaneWaveField(np.array([0.6, -0.5, 0.2]))
-        fs = FieldSum([(1.5, 0, pw), (0.5, 0, Opaque())])
-        x, radii = np.array([0.2, 0.1, -0.3]), np.array([0.3, 0.8, 1.4])
-        assert fs.sphere_mean(x, radii) is None
-        rule = make_sphere_rule(3, 24)
-        means = sphere_means_many(fs, x, radii, rule)
-        ref, scale = _quadrature_means(fs, x, radii, 0)
-        assert np.all(np.abs(means - ref) <= 1e-12 * scale)
-        # the closed-form part alone agrees with its quadrature too
-        split = (1.5 * pw.sphere_mean(x, radii)
-                 + 0.5 * sphere_means_many(Opaque(), x, radii, rule))
-        assert np.allclose(means, split, rtol=1e-12, atol=1e-14)
+    def test_base_field_has_no_mean(self):
+        with pytest.raises(NotImplementedError):
+            SmoothField().sphere_mean(np.zeros(2), np.ones(1))
 
     def _term_by_term(self, fs, x, radii, lap):
         terms = [c * f.sphere_mean(x, radii, lap + s) for c, s, f in fs.terms]
@@ -245,14 +257,13 @@ class TestDampedIbar:
            a=st.floats(0.01, 2.0), d=st.floats(0.0, 3.0),
            radii=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5))
     def test_matches_hyp0f1(self, mu, a, d, radii):
-        # the arguments GaussianField.sphere_mean passes: z = 2 a d r,
-        # damp = a r^2; z spans the series branch and the scaled-I_nu one
-        r = np.array(radii)
-        z, damp = 2.0 * a * d * r, a * r * r
-        got = fields_mod._damped_ibar(mu, z, damp)
+        # the argument GaussianField.sphere_mean passes, z = 2 a d r, on
+        # the series branch
+        z = 2.0 * a * d * np.array(radii)
+        got = fields_mod._damped_ibar(mu, z)
         with mp.workdps(30):
-            for zi, di, value in zip(z, damp, got):
-                ref = mp.exp(-mp.mpf(di)) * mp.hyp0f1(mp.mpf(mu) + 1,
+            for zi, value in zip(z, got):
+                ref = mp.exp(-mp.mpf(zi)) * mp.hyp0f1(mp.mpf(mu) + 1,
                                                       (mp.mpf(zi) / 2) ** 2)
                 assert abs(value - float(ref)) <= 1e-13 * float(ref)
 
@@ -341,45 +352,31 @@ class TestPsiData:
         with pytest.raises(DomainError):
             psi_star_from_psi([pw, pw], 2, 1.0)
 
-    def test_out_of_window_warning(self):
-        pw = PlaneWaveField(np.ones(2))
-        data = build_psi_star_data([pw], 1, 0.0, 0.8)
-        assert data.warnings
-        data = build_psi_star_data([pw], 1, 0.0, 0.2)
-        assert not data.warnings
-
 
 class TestDampedIbarBothBranches:
-    """_damped_ibar across the series / Hankel switch at z = 40.
-
-    GaussianField.sphere_mean passes z = 2 a d r and damp = a r^2, so with
-    q = a d^2 the pairs are (z, z^2 / (4 q)) and exp(z - damp) <= exp(q);
-    q <= 700 keeps every result finite.  The bound is relative wherever the
-    result is a normal float.
-    """
+    """_damped_ibar across the series / Hankel switch at z = 40 and up to
+    the z = 2 a d r of Gaussians far from x (a d^2 = 1e4, r ~ d).  The
+    bound is relative: exp(-z) Ibar_mu(z) ~ z^(-mu-1/2) stays normal."""
 
     @settings(max_examples=60, deadline=None)
-    @given(mu=st.floats(-0.5, 8.0), q=st.floats(1e-3, 700.0),
-           zs=st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=6))
-    @example(mu=0.0, q=700.0, zs=[float(np.nextafter(40.0, 0.0)), 40.0, 4999.0])
-    @example(mu=8.0, q=20.0, zs=[39.0, 41.0])
-    @example(mu=1.5, q=300.0, zs=[0.0, 5000.0])
-    # damp ~ 720 with z just below 40: exp(-damp) alone is subnormal
-    @example(mu=-0.5, q=0.55, zs=[39.9, 39.0])
-    def test_matches_hyp0f1(self, mu, q, zs):
+    @given(mu=st.floats(-0.5, 8.0),
+           zs=st.lists(st.floats(0.0, 2e4), min_size=1, max_size=6))
+    @example(mu=0.0, zs=[float(np.nextafter(40.0, 0.0)), 40.0, 4999.0])
+    @example(mu=8.0, zs=[39.0, 41.0])
+    @example(mu=1.5, zs=[0.0, 2e4])
+    @example(mu=-0.5, zs=[39.9, 39.0])
+    def test_matches_hyp0f1(self, mu, zs):
         z = np.array(zs)
-        damp = z * z / (4.0 * q)
-        got = fields_mod._damped_ibar(mu, z, damp)
+        got = fields_mod._damped_ibar(mu, z)
         with mp.workdps(30):
-            for zi, di, value in zip(z, damp, got):
-                ref = float(mp.exp(-mp.mpf(di))
+            for zi, value in zip(z, got):
+                ref = float(mp.exp(-mp.mpf(zi))
                             * mp.hyp0f1(mp.mpf(mu) + 1, (mp.mpf(zi) / 2) ** 2))
-                assert abs(value - ref) <= max(1e-13 * ref,
-                                               np.finfo(float).tiny)
+                assert abs(value - ref) <= 1e-13 * ref
 
     def test_switch_is_continuous(self):
         # the two branches agree to roundoff on either side of the switch
         z = np.array([np.nextafter(40.0, 0.0), 40.0])
         for mu in (-0.5, 0.0, 0.5, 2.0, 8.0):
-            below, above = fields_mod._damped_ibar(mu, z, z)
+            below, above = fields_mod._damped_ibar(mu, z)
             assert abs(below - above) <= 1e-14 * above

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from besselwave.errors import ContractError, DomainError
-from besselwave.fields import GaussianField, PlaneWaveField, PolynomialField
+from besselwave.fields import (FieldSum, GaussianField, PlaneWaveField,
+                               PolynomialField)
 from besselwave.quadrature import (MAX_RADIAL_ORDER, SphereRule,
-                                   ball_kernel_integral,
                                    ball_kernel_integral_many, make_radial_rule,
-                                   make_sphere_rule, sphere_mean,
                                    sphere_means_many)
 from besselwave.special import sphere_area_const
 
@@ -58,6 +57,31 @@ def chebyshev_reference_rule(beta, order):
     nodes, vecs = np.linalg.eigh(np.diag(a) + np.diag(off, 1)
                                  + np.diag(off, -1))
     return nodes, b[0] * vecs[0] ** 2
+
+
+class DirectionRuleMeans:
+    """A field seen through eval alone: its sphere means are the direction
+    rule SphereRule(n, order) summed over points, the reference for the
+    closed forms (n in {1, 2, 3})."""
+
+    def __init__(self, field, order):
+        self.field, self.order = field, order
+
+    def sphere_mean(self, x, radii, lap=0):
+        rule, n = SphereRule(x.size, self.order), x.size
+        pts = x[None, None, :] + radii[:, None, None] * rule.directions[None]
+        vals = self.field.eval(pts.reshape(-1, n), lap).reshape(radii.size, -1)
+        return vals @ rule.weights / sphere_area_const(n)
+
+
+def ball(f, x, t, beta, lam, radial, sphere):
+    """One ball kernel integral at nu = beta."""
+    return float(ball_kernel_integral_many(f, x, np.array([t]), beta, beta,
+                                           lam, radial, sphere)[0])
+
+
+def mean(f, x, r):
+    return float(sphere_means_many(f, x, np.array([r]))[0])
 
 
 class TestRadialRule:
@@ -132,26 +156,26 @@ class TestRadialRule:
 
 class TestSphereRule:
     def test_dimension_one(self):
-        rule = make_sphere_rule(1, 5)
+        rule = SphereRule(1, 5)
         assert sorted(rule.directions[:, 0].tolist()) == [-1.0, 1.0]
         assert np.allclose(rule.weights, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_total_measure(self, n):
-        rule = make_sphere_rule(n, 16)
+        rule = SphereRule(n, 16)
         assert np.sum(rule.weights) == pytest.approx(sphere_area_const(n),
                                                      rel=1e-12)
 
     def test_second_moment_n3(self):
-        rule = make_sphere_rule(3, 8)
+        rule = SphereRule(3, 8)
         val = float(np.sum(rule.weights * rule.directions[:, 0] ** 2))
         assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
     def test_unsupported_dimension(self):
         with pytest.raises(DomainError):
-            make_sphere_rule(4, 8)
+            SphereRule(4, 8).directions
         with pytest.raises(DomainError):
-            make_sphere_rule(3, 0)
+            SphereRule(3, 0)
 
     def test_directions_built_on_first_access(self):
         rule = SphereRule(4, 8)  # no directions needed yet
@@ -163,48 +187,38 @@ class TestSphereRule:
 
 class TestSphereMean:
     def test_constant_field(self):
-        rule = make_sphere_rule(3, 8)
         const = PolynomialField({(0, 0, 0): 2.5}, 3)
-        assert sphere_mean(const, np.zeros(3), 1.7, rule) == pytest.approx(2.5)
+        assert mean(const, np.zeros(3), 1.7) == pytest.approx(2.5)
 
     def test_harmonic_mean_value(self):
-        rule = make_sphere_rule(3, 12)
         lin = PolynomialField({(1, 0, 0): 1.0}, 3)
         x = np.array([0.4, -1.0, 2.0])
-        assert sphere_mean(lin, x, 0.9, rule) == pytest.approx(0.4, abs=1e-13)
+        assert mean(lin, x, 0.9) == pytest.approx(0.4, abs=1e-13)
 
     def test_plane_wave_mean(self):
         # mean of cos(k.xi) over S(0, r) in R^3 is sin(|k| r)/(|k| r)
-        rule = make_sphere_rule(3, 24)
         k = np.array([0.3, -1.1, 0.7])
         pw = PlaneWaveField(k)
         kabs = np.linalg.norm(k)
         for r in (0.5, 1.3, 2.0):
-            assert sphere_mean(pw, np.zeros(3), r, rule) == pytest.approx(
+            assert mean(pw, np.zeros(3), r) == pytest.approx(
                 math.sin(kabs * r) / (kabs * r), abs=1e-12)
 
     def test_small_radius_limit(self):
-        rule = make_sphere_rule(3, 12)
         pw = PlaneWaveField(np.array([1.0, 0.5, -0.2]))
         x = np.array([0.1, 0.2, 0.3])
         f0 = pw.eval(x[None, :])[0]
-        e1 = abs(sphere_mean(pw, x, 1e-2, rule) - f0)
-        e2 = abs(sphere_mean(pw, x, 5e-3, rule) - f0)
+        e1 = abs(mean(pw, x, 1e-2) - f0)
+        e2 = abs(mean(pw, x, 5e-3) - f0)
         assert e2 <= 0.3 * e1  # O(r^2)
 
-    def test_negative_radius(self):
-        rule = make_sphere_rule(2, 8)
-        with pytest.raises(DomainError):
-            sphere_mean(PlaneWaveField(np.ones(2)), np.zeros(2), -0.1, rule)
-
     def test_vectorised_matches_scalar(self):
-        rule = make_sphere_rule(2, 12)
         pw = PlaneWaveField(np.array([0.7, -0.4]))
         x = np.array([0.3, 0.8])
         radii = np.array([0.2, 0.9, 1.6])
-        many = sphere_means_many(pw, x, radii, rule)
+        many = sphere_means_many(pw, x, radii)
         for r, v in zip(radii, many):
-            assert v == pytest.approx(sphere_mean(pw, x, float(r), rule))
+            assert v == pytest.approx(mean(pw, x, float(r)))
 
 
 class TestBallKernelIntegral:
@@ -213,60 +227,49 @@ class TestBallKernelIntegral:
         #   omega_3 t^{2 alpha + 1} B(alpha, 3/2)/2
         alpha = 0.8
         radial = make_radial_rule(alpha - 1.0, 32)
-        sphere = make_sphere_rule(3, 8)
         const = PolynomialField({(0, 0, 0): 1.0}, 3)
         t = 1.4
-        val = ball_kernel_integral(const, np.zeros(3), t, alpha - 1.0, alpha - 1.0,
-                                   0.0, radial, sphere)
+        val = ball(const, np.zeros(3), t, alpha - 1.0, 0.0, radial,
+                   SphereRule(3, 8))
         exact = (sphere_area_const(3) * t ** (2.0 * alpha + 1.0)
                  * beta_fn(alpha, 1.5) / 2.0)
         assert val == pytest.approx(exact, rel=1e-12)
 
     def test_odd_field_cancels(self):
         radial = make_radial_rule(0.5, 16)
-        sphere = make_sphere_rule(3, 8)
         x = np.array([0.7, -0.3, 1.1])
         odd = PolynomialField({(1, 0, 0): 1.0, (0, 0, 0): -0.7}, 3)
         # xi_1 - x_1 is odd about x; shift the constant so the field is odd
-        val = ball_kernel_integral(odd, x, 1.0, 0.5, 0.5, 0.0, radial, sphere)
+        val = ball(odd, x, 1.0, 0.5, 0.0, radial, SphereRule(3, 8))
         assert val == pytest.approx(0.0, abs=1e-12)
 
     def test_linearity(self):
         radial = make_radial_rule(-0.2, 24)
-        sphere = make_sphere_rule(2, 12)
+        sphere = SphereRule(2, 12)
         f = PlaneWaveField(np.array([0.9, -0.3]))
         g = PlaneWaveField(np.array([0.2, 0.8]), phase=0.5)
         x = np.array([0.1, -0.4])
         ts = np.array([0.7, 1.9])
-
-        class Combo:
-            def eval(self, pts, lap=0):
-                return 2.0 * f.eval(pts, lap) - 0.5 * g.eval(pts, lap)
-
-        vc = ball_kernel_integral_many(Combo(), x, ts, -0.2, -0.2, 0.8,
-                                       radial, sphere)
-        vf = ball_kernel_integral_many(f, x, ts, -0.2, -0.2, 0.8, radial, sphere)
-        vg = ball_kernel_integral_many(g, x, ts, -0.2, -0.2, 0.8, radial, sphere)
+        combo = FieldSum([(2.0, 0, f), (-0.5, 0, g)])
+        vc, vf, vg = (ball_kernel_integral_many(h, x, ts, -0.2, -0.2, 0.8,
+                                                radial, sphere)
+                      for h in (combo, f, g))
         assert np.max(np.abs(vc - (2.0 * vf - 0.5 * vg))) <= 1e-13 * max(
             1.0, np.max(np.abs(vc)))
 
     def test_order_doubling_converged(self):
-        sphere = make_sphere_rule(3, 16)
         f = PlaneWaveField(np.array([0.6, -0.5, 0.3]))
         x = np.array([0.2, 0.1, -0.3])
-        vals = []
-        for order in (24, 48):
-            radial = make_radial_rule(-0.25, order)
-            vals.append(ball_kernel_integral(f, x, 2.0, -0.25, -0.25, 1.0,
-                                             radial, sphere))
+        vals = [ball(f, x, 2.0, -0.25, 1.0, make_radial_rule(-0.25, order),
+                     SphereRule(3, 16))
+                for order in (24, 48)]
         assert abs(vals[1] - vals[0]) <= 1e-10 * max(1.0, abs(vals[1]))
 
     def test_rule_mismatch(self):
         radial = make_radial_rule(0.3, 8)
-        sphere = make_sphere_rule(2, 8)
         with pytest.raises(ContractError):
-            ball_kernel_integral(PlaneWaveField(np.ones(2)), np.zeros(2), 1.0,
-                                 0.4, 0.4, 0.0, radial, sphere)
+            ball(PlaneWaveField(np.ones(2)), np.zeros(2), 1.0, 0.4, 0.0,
+                 radial, SphereRule(2, 8))
 
     @pytest.mark.parametrize("field", [
         PlaneWaveField(np.array([0.6, -0.5, 0.3]), phase=0.2),
@@ -275,13 +278,12 @@ class TestBallKernelIntegral:
     ])
     def test_closed_form_matches_direction_rule(self, field):
         radial = make_radial_rule(-0.25, 32)
-        sphere = make_sphere_rule(3, 24)
+        sphere = SphereRule(3, 24)
         x = np.array([0.2, 0.1, -0.3])
         ts = np.array([0.4, 1.3, 2.1])
         exact = ball_kernel_integral_many(field, x, ts, -0.25, -0.25, 0.9,
                                           radial, sphere)
-        # a plain callable has no closed form and takes the fallback
-        quad = ball_kernel_integral_many(lambda pts: field.eval(pts), x, ts,
+        quad = ball_kernel_integral_many(DirectionRuleMeans(field, 24), x, ts,
                                          -0.25, -0.25, 0.9, radial, sphere)
         assert np.max(np.abs(exact - quad)) <= 1e-12 * max(
             1.0, np.max(np.abs(quad)))
@@ -289,20 +291,14 @@ class TestBallKernelIntegral:
     def test_closed_form_needs_no_direction_rule(self):
         # n = 4 has no direction rule; closed-form means do not need one
         radial = make_radial_rule(0.5, 16)
-        sphere = SphereRule(4, 8)
         f = PolynomialField({(0, 0, 0, 0): 2.0}, 4)
-        val = ball_kernel_integral(f, np.zeros(4), 1.2, 0.5, 0.5, 0.0, radial,
-                                   sphere)
+        val = ball(f, np.zeros(4), 1.2, 0.5, 0.0, radial, SphereRule(4, 8))
         exact = (2.0 * sphere_area_const(4) * 1.2 ** 5.0
                  * beta_fn(2.0, 1.5) / 2.0)
         assert val == pytest.approx(exact, rel=1e-12)
-        with pytest.raises(DomainError):
-            ball_kernel_integral(lambda pts: np.ones(len(pts)), np.zeros(4),
-                                 1.2, 0.5, 0.5, 0.0, radial, sphere)
 
     def test_nonpositive_t(self):
         radial = make_radial_rule(0.3, 8)
-        sphere = make_sphere_rule(2, 8)
         with pytest.raises(DomainError):
-            ball_kernel_integral(PlaneWaveField(np.ones(2)), np.zeros(2), 0.0,
-                                 0.3, 0.3, 0.0, radial, sphere)
+            ball(PlaneWaveField(np.ones(2)), np.zeros(2), 0.0, 0.3, 0.0,
+                 radial, SphereRule(2, 8))

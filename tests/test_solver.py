@@ -6,11 +6,12 @@ import pytest
 from besselwave.errors import ContractError, DomainError
 from besselwave.fields import PlaneWaveField, SineProductField
 from besselwave.solver import (ProblemSpec, SolutionEvaluator,
-                               check_lemma2_conditions, solve_point_even,
-                               solve_point_odd, solve_profile_odd,
-                               solve_profile_psi, solve_profile_transmutation,
-                               solve_psi_problem, transformed_data)
+                               solve_point_even, solve_point_odd,
+                               solve_profile_odd, solve_profile_psi,
+                               solve_profile_transmutation, solve_psi_problem,
+                               transformed_data)
 from besselwave.special import bessel_clifford, pochhammer
+from besselwave.transmute import bessel_op_apply
 from besselwave.wave import RuleSet
 
 FAST = RuleSet(radial_order=32, sphere_order=16)
@@ -201,16 +202,25 @@ class TestIteratedProblem:
 
     def test_operator_trace_conditions(self):
         # iterated singular-operator traces at t -> 0 recover the
-        # Pochhammer-rescaled data
+        # Pochhammer-rescaled data,
+        #   [B_{alpha-1/2}^t]^k u -> (alpha+1/2)_k / (1/2)_k phi_k,
+        # by a small-t ladder with two Richardson levels of ratio 4 (the
+        # expansion is even in t)
         spec = spec_mixed_m2()
         u = SolutionEvaluator(spec, FAST)
-        report = check_lemma2_conditions(spec, u, X3)
-        alpha = spec.alpha
+        alpha, t0 = spec.alpha, 2e-2
+
+        def u_of_t(tv):
+            return u.profile(X3, np.atleast_1d(np.asarray(tv, dtype=float)))
+
         for k in range(spec.m):
             ratio = pochhammer(alpha + 0.5, k) / pochhammer(0.5, k)
             target = ratio * spec.fields[k].eval(X3[None, :])[0]
-            assert report[k]["target"] == pytest.approx(target, rel=1e-12)
-            assert report[k]["error"] <= 1e-4 * max(1.0, abs(target))
+            ladder = [bessel_op_apply(u_of_t, alpha - 0.5, k, tv, tv / 8.0)
+                      for tv in (t0, t0 / 2.0, t0 / 4.0)]
+            r1 = [(4.0 * ladder[i + 1] - ladder[i]) / 3.0 for i in range(2)]
+            limit = (16.0 * r1[1] - r1[0]) / 15.0
+            assert abs(limit - target) <= 1e-4 * max(1.0, abs(target))
 
 
 class TestPsiProblem:
