@@ -342,7 +342,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None,
     try:
         if spec.family == "phi" and spec.n % 2:
             from .highprec import HighPrecEvaluator, residual_high_precision
-            hp = HighPrecEvaluator(spec, cfg.rules.radial_order)
+            hp = HighPrecEvaluator(spec)
             pairs = [(hh, residual_high_precision(spec, xs[0], t_res, spec.m,
                                                   hh, evaluator=hp))
                      for hh in steps]
@@ -361,6 +361,7 @@ def cmd_verify(cfg: RunConfig, out_path: str | None,
         val = value if isinstance(value, str) else f"{value:.6e}"
         lines.append(f"{'PASS' if ok else 'FAIL'} {name} = {val}"
                      + (f" (tolerance {tol_text})" if tol_text != "" else ""))
+    lines.extend(f"NOTE {flag}" for flag in ic.flags)
     failed = [c for c in checks if not c[3]]
     lines.append(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     _report(lines, out_path)

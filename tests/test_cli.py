@@ -400,6 +400,29 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg)]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_ladder_flags_print_as_notes(self, tmp_path, capsys):
+        # at t0 = 1e-4 the second-derivative ladder is roundoff-bound: the
+        # flag is a NOTE after the checks, never a verdict of its own
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("problem.m = 1", "problem.m = 2")
+                       + "data.phi1 = planewave:k=0.2 0.3 -0.1\n"
+                       + "verify.t0 = 1e-4\n")
+        assert main(["verify", "--config", str(cfg)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        notes = [i for i, line in enumerate(lines) if line.startswith("NOTE ")]
+        assert notes
+        assert "extrapolation ladder not converging" in lines[notes[0]]
+        verdicts = [i for i, line in enumerate(lines)
+                    if line.split(" ", 1)[0] in ("PASS", "FAIL")]
+        assert max(verdicts) < min(notes) and max(notes) == len(lines) - 2
+        assert lines[-1].endswith(f"/{len(verdicts)} checks passed")
+
+    def test_no_flags_no_notes(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(GOOD_CONFIG + "verify.fd_step = 2e-3\n")
+        assert main(["verify", "--config", str(cfg)]) == 0
+        assert "NOTE" not in capsys.readouterr().out
+
 
 class TestConvergenceCommand:
     def test_exit_0(self, tmp_path, capsys):

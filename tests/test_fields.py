@@ -187,6 +187,28 @@ class TestSphereMean:
                 assert abs(value - exact) <= ((1e-13 + 4.5e-16 * x_rounded)
                                               * exact)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the lap >= 2 moment sums cancel near r = d when a d^2 is large"))
+    @pytest.mark.parametrize("lap", [2, 3])
+    def test_gaussian_iterated_laplacian_mean_far_from_centre(self, lap):
+        # n = 3, Darboux: M[Laplacian^lap f](r) = ((1/r) d_r^2 r)^lap M[f](r)
+        # = (1/r) d_r^(2 lap) (r M[f](r)), with r M[f](r) =
+        # (exp(-a(d-r)^2) - exp(-a(d+r)^2)) / (4ad); a d^2 = 648
+        a, d = 2.0, 18.0
+        g = GaussianField(a, np.array([d, 0.0, 0.0]))
+        radii = np.linspace(17.5, 18.0, 11)
+        got = g.sphere_mean(np.zeros(3), radii, lap)
+        with mp.workdps(60):
+            A, D = mp.mpf(a), mp.mpf(d)
+
+            def r_mean(r):
+                return (mp.exp(-A * (D - r) ** 2)
+                        - mp.exp(-A * (D + r) ** 2)) / (4 * A * D)
+            ref = np.array([float(mp.diff(r_mean, mp.mpf(r), 2 * lap) / r)
+                            for r in radii])
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
     def test_field_sum_combines_terms(self):
         pw = PlaneWaveField(np.array([0.5, -0.9]), phase=0.3)
         g = GaussianField(0.7, np.array([0.1, 0.2]))
