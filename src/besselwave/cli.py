@@ -306,10 +306,12 @@ def _report(lines, out_path):
 def cmd_verify(cfg: RunConfig, out_path: str | None,
                tolerance: float | None = None) -> int:
     from . import verify as V
-    from .solver import solve_profile_psi
+    from .solver import solve_profile_psi, transformed_data
     tol = tolerance if tolerance is not None else cfg.verify_opts["tolerance"]
     spec = cfg.spec
-    evaluator = SolutionEvaluator(spec, cfg.rules)
+    evaluator = SolutionEvaluator(
+        spec, cfg.rules,
+        data=transformed_data(spec) if spec.family == "phi" else None)
     xs = cfg.grid_x or [np.zeros(spec.n)]
     ts = cfg.grid_t or [1.0]
     probes = cfg.verify_opts["probes"]
@@ -338,7 +340,6 @@ def cmd_verify(cfg: RunConfig, out_path: str | None,
     h = cfg.verify_opts["fd_step"]
     steps = (4.0 * h, 2.0 * h, h)
     t_res = max(ts)
-    order = None
     try:
         if spec.family == "phi" and spec.n % 2:
             from .highprec import HighPrecEvaluator, residual_high_precision
@@ -350,9 +351,13 @@ def cmd_verify(cfg: RunConfig, out_path: str | None,
             pairs = [(hh, V.residual_iterated_operator(evaluator, xs[0],
                                                        t_res, spec.m, hh))
                      for hh in steps]
-        order = V.estimate_order(pairs)
-        ok = 1.7 <= order <= 2.3
-        checks.append(("residual_order", order, "[1.7, 2.3]", ok))
+        if all(r == 0.0 for _, r in pairs):  # zero data: nothing to fit
+            checks.append(("residual_order", "skipped: the residual is "
+                           "exactly 0 at every step", "", True))
+        else:
+            order = V.estimate_order(pairs)
+            checks.append(("residual_order", order, "[1.7, 2.3]",
+                           1.7 <= order <= 2.3))
     except (CapabilityError, ContractError) as exc:
         checks.append(("residual_order", f"skipped: {exc}", "", True))
 

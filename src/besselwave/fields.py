@@ -45,7 +45,8 @@ class SmoothField:
 
     def sphere_mean(self, x, radii, lap: int = 0) -> np.ndarray:
         """Exact mean of Laplacian^lap f over each sphere S(x, r), r in
-        radii, as an array shaped like radii."""
+        radii, as an array shaped like radii.  x is one centre (n,), or P
+        centres (P, n) with radii (P, ...): row p is the call on x[p]."""
         raise NotImplementedError
 
     def _check_order(self, lap: int):
@@ -67,10 +68,13 @@ class LaplaceEigenfield(SmoothField):
     eigenvalue: float
 
     def sphere_mean(self, x, radii, lap=0):
-        centre = self.eval(np.asarray(x, dtype=float)[None, :], lap)[0]
-        radii = np.asarray(radii, dtype=float)
+        x, radii = np.asarray(x, dtype=float), np.asarray(radii, dtype=float)
+        # one (1, n) point per centre, so k . x rounds as in a lone call
+        centre = _per_centre(self.eval(x[..., None, :], lap).reshape(-1),
+                             x, radii)
         return centre * bessel_clifford((self.dimension - 2) / 2.0,
-                                        math.sqrt(-self.eigenvalue) * radii)
+                                        math.sqrt(-self.eigenvalue) * radii,
+                                        rows=x.ndim == 2)
 
 
 class PlaneWaveField(LaplaceEigenfield):
@@ -148,7 +152,7 @@ class PolynomialField(SmoothField):
     def sphere_mean(self, x, radii, lap=0):
         """Pizzetti's formula; the series ends where Laplacian^j f = 0."""
         self._check_order(lap)
-        centre = np.asarray(x, dtype=float)[None, :]
+        x = np.asarray(x, dtype=float)
         r2 = np.asarray(radii, dtype=float) ** 2
         n = self.dimension
         degree = max((sum(idx) for idx in self.coefficients), default=0)
@@ -157,7 +161,8 @@ class PolynomialField(SmoothField):
         for j in range(max(0, degree // 2 - lap) + 1):
             if j:
                 weight /= 2.0 * j * (n + 2 * j - 2)
-            total = total + weight * r2 ** j * self.eval(centre, lap + j)[0]
+            total = total + weight * r2 ** j * _per_centre(
+                self.eval(np.atleast_2d(x), lap + j), x, r2)
         return total
 
 
@@ -223,7 +228,8 @@ class GaussianField(SmoothField):
         x = np.asarray(x, dtype=float)
         radii = np.asarray(radii, dtype=float)
         a, nu = self.width, (self.dimension - 2) / 2.0
-        d = float(np.linalg.norm(x - self.center))
+        d = _per_centre(np.array([np.linalg.norm(v) for v in
+                                  np.atleast_2d(x) - self.center]), x, radii)
         big_p = d * d + radii * radii
         b2 = 4.0 * d * d * radii * radii       # z = a b, b = 2 d r
         # moments[i]: {(p, k): c} for sum c a^p exp(-a P) Ibar_{nu+k}(a b)
@@ -237,7 +243,7 @@ class GaussianField(SmoothField):
                 nxt[p + 1, k + 1] -= b2 * c / (2.0 * (nu + k + 1.0))
             moments.append(nxt)
         z = 2.0 * a * d * radii
-        ibar = [_damped_ibar(nu + k, z) for k in range(lap + 1)]
+        ibar = [_damped_ibar(nu + k, z, x.ndim == 2) for k in range(lap + 1)]
         total = np.zeros_like(radii)
         for coeff, terms in zip(self._radial_polys[lap], moments):
             for (p, k), c in terms.items():
@@ -253,7 +259,7 @@ class GaussianField(SmoothField):
 _HANKEL_CUTOFF = 40.0
 
 
-def _damped_ibar(mu: float, z: np.ndarray) -> np.ndarray:
+def _damped_ibar(mu: float, z: np.ndarray, rows: bool = False) -> np.ndarray:
     """exp(-z) * Ibar_mu(z), Ibar_mu(z) = Gamma(mu+1) (z/2)^-mu I_mu(z),
     for z >= 0 and mu > -1; for mu >= -1/2 it lies in (0, 1], so
     nothing overflows.
@@ -271,16 +277,18 @@ def _damped_ibar(mu: float, z: np.ndarray) -> np.ndarray:
     smallest z; its factor e^z cancels exp(-z) exactly.  Its
     exponentially small second part, e^-z I_mu's partner, is below e^-80
     relative and is dropped.  Both branches are accurate to about 1e-13
-    relative.
+    relative.  rows: as in ``special.bessel_clifford``.
     """
-    out = np.empty_like(z)
-    small = z < _HANKEL_CUTOFF
-    zs = z[small]
-    out[small] = _hyp0f1(mu, 0.25 * zs * zs) * np.exp(-zs)
-    zl = z[~small]
-    if zl.size:
-        out[~small] = (gamma(mu + 1.0) * (zl / 2.0) ** (-mu)
-                       * _hankel_sum(mu, zl) / np.sqrt(2.0 * math.pi * zl))
+    large = z >= _HANKEL_CUTOFF
+    zs = np.where(large, 0.0, z)
+    out = _hyp0f1(mu, 0.25 * zs * zs, rows) * np.exp(-zs)
+    # Hankel's term count follows the smallest z of its call: one per row
+    for row in (range(len(z)) if rows and large.any() else [...]):
+        zl = z[row][large[row]]
+        if zl.size:
+            out[row][large[row]] = (gamma(mu + 1.0) * (zl / 2.0) ** (-mu)
+                                    * _hankel_sum(mu, zl)
+                                    / np.sqrt(2.0 * math.pi * zl))
     return out
 
 
@@ -301,6 +309,13 @@ def _hankel_sum(mu: float, z: np.ndarray) -> np.ndarray:
         coeffs.append(-coeffs[-1] * (4.0 * mu * mu - (2 * k - 1) ** 2) / (8 * k))
         bound = abs(coeffs[-1]) * inv_min ** k
     return _horner(coeffs, 1.0 / z)
+
+
+def _per_centre(values, x, radii):
+    """Values at the centres x against radii: a scalar or a column."""
+    if x.ndim == 1:
+        return values[0]
+    return values.reshape(values.shape + (1,) * (np.ndim(radii) - 1))
 
 
 @dataclass

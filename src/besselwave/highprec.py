@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CapabilityError
 from .fields import PlaneWaveField
-from .verify import MIN_T_FACTOR
+from .verify import stencil_batch
 
 
 def _jbar_mp(nu, z):
@@ -56,10 +56,11 @@ def _plane_terms(fsum):
 
 
 class HighPrecEvaluator:
-    """profile(x, tvals) in mpmath arithmetic; odd n, phi family.
+    """profile(x, tvals) in mpmath arithmetic, shaped as
+    ``SolutionEvaluator.profile``; odd n, phi family.
 
     The radial factor of each term is computed once per distinct t and
-    kept for the evaluator's lifetime.
+    kept for the evaluator's lifetime, the spatial ones once per x.
     """
 
     def __init__(self, spec, dps: int = 30):
@@ -95,40 +96,31 @@ class HighPrecEvaluator:
         return out
 
     def profile(self, x, tvals):
+        x = np.asarray(x, dtype=float)
+        rows = x.ndim == 2
+        spatial, out = {}, []
         with mp.workdps(self.dps):
-            x = list(map(mp.mpf, np.asarray(x, dtype=float).tolist()))
-            spatial = [mp.cos(mp.fdot(kvec, x) + phase)
-                       for *_, kvec, phase in self.terms]
-            out = []
-            for t in np.atleast_1d(tvals):
-                t = t if isinstance(t, mp.mpf) else mp.mpf(float(t))
-                out.append(mp.fdot(spatial, self._radial_factors(t)))
-        return np.array(out, dtype=object)
+            for xp, tp in zip(x, tvals) if rows else [(x, tvals)]:
+                key = tuple(xp.tolist())
+                if key not in spatial:
+                    xm = list(map(mp.mpf, key))
+                    spatial[key] = [mp.cos(mp.fdot(kvec, xm) + phase)
+                                    for *_, kvec, phase in self.terms]
+                out.append([mp.fdot(spatial[key], self._radial_factors(
+                    t if isinstance(t, mp.mpf) else mp.mpf(float(t))))
+                            for t in np.atleast_1d(tp)])
+        out = np.array(out, dtype=object)
+        return out if rows else out[0]
 
 
 def residual_high_precision(spec, x, t: float, m: int, h: float,
                             dps: int = 30,
                             evaluator: HighPrecEvaluator | None = None) -> float:
     """|L^m u|(x, t) with stencil coefficients and solution values both in
-    mpmath; returns a float64 magnitude."""
-    from .errors import ContractError
-    from .verify import residual_stencil
-    if t <= MIN_T_FACTOR * m * h:
-        raise ContractError("residual stencil needs larger t for this h")
+    mpmath, from one batched profile call; returns a float64 magnitude."""
     ev = evaluator or HighPrecEvaluator(spec, dps)
-    x = np.asarray(x, dtype=float)
     with mp.workdps(dps):
-        tt, hh = mp.mpf(t), mp.mpf(h)
-        stencil = residual_stencil(m, x.size, tt, hh, mp.mpf(spec.gamma_param),
-                                   mp.mpf(spec.lam))
-        by_x: dict = {}
-        for (it, ix), c in stencil.items():
-            by_x.setdefault(ix, []).append((it, c))
-        total = mp.mpf(0)
-        for ix, entries in by_x.items():
-            its = sorted({it for it, _ in entries})
-            pt = x + h * np.asarray(ix, dtype=float)
-            vals = ev.profile(pt, [tt + hh * it for it in its])
-            lookup = dict(zip(its, vals))
-            total += mp.fdot((c, lookup[it]) for it, c in entries)
-        return float(abs(total))
+        points, times, coeffs = stencil_batch(
+            m, x, mp.mpf(t), mp.mpf(h), mp.mpf(spec.gamma_param),
+            mp.mpf(spec.lam))
+        return float(abs(mp.fdot(coeffs, ev.profile(points, times)[:, 0])))

@@ -177,8 +177,9 @@ def ball_kernel_integral_many(f, x, tvals: np.ndarray, beta: float, nu: float,
                        f(xi) dxi,
 
     via the substitution r = t*s, whose kernel the radial rule absorbs:
-    one closed-form sphere mean per (t, s) node.  ``sphere`` is not read
-    (module docstring).
+    one closed-form sphere mean per (t, s) node.  x of shape (n,) takes
+    tvals of shape (T,); x of shape (P, n) takes tvals of shape (P, T),
+    row p about x[p].  ``sphere`` is not read (module docstring).
     """
     if radial.beta != beta:
         raise ContractError(
@@ -187,12 +188,13 @@ def ball_kernel_integral_many(f, x, tvals: np.ndarray, beta: float, nu: float,
     tvals = np.asarray(tvals, dtype=float)
     if np.any(tvals <= 0.0):
         raise DomainError("ball integral needs t > 0")
-    n, s = x.size, radial.nodes
-    radii = tvals[:, None] * s[None, :]
+    n, s = x.shape[-1], radial.nodes
+    radii = tvals[..., None] * s
     sphere_sums = sphere_area_const(n) * f.sphere_mean(
-        x, radii.ravel()).reshape(radii.shape)
+        x, radii.reshape(tvals.shape[:-1] + (-1,))).reshape(radii.shape)
     if lam != 0.0:
-        kern = bessel_clifford(nu, lam * tvals[:, None] * np.sqrt(1.0 - s * s))
+        kern = bessel_clifford(nu, lam * tvals[..., None]
+                               * np.sqrt(1.0 - s * s), rows=x.ndim == 2)
     else:
         kern = 1.0
     return tvals ** (n + 2.0 * beta) * np.sum(

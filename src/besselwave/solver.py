@@ -160,12 +160,18 @@ def solve_point_transmutation(spec: ProblemSpec, x, t: float,
 
 
 def solve_profile_transmutation(spec: ProblemSpec, x, tvals,
-                                rules: RuleSet | None = None) -> np.ndarray:
+                                rules: RuleSet | None = None,
+                                data: TransformedData | None = None
+                                ) -> np.ndarray:
     """Transmutation route: fractional time-operator applied to the
-    poly-wave solution of the transformed-data problem."""
-    rules = rules or RuleSet()
+    poly-wave solution of the transformed-data problem; row by row."""
+    rules, x = rules or RuleSet(), np.asarray(x, dtype=float)
     alpha = spec.alpha
-    data = transformed_data(spec)
+    if data is None:
+        data = transformed_data(spec)
+    if x.ndim == 2:
+        return np.array([solve_profile_transmutation(spec, xp, tp, rules, data)
+                         for xp, tp in zip(x, tvals)])
     problem = PolyWaveProblem(spec.n, spec.m, data)
     solver = (polywave_solve_odd_many if spec.n % 2
               else polywave_solve_even_many)
@@ -232,21 +238,29 @@ def solve_psi_problem(spec: ProblemSpec, x, t: float,
 @dataclass
 class SolutionEvaluator:
     """Immutable point evaluator dispatching on dimension parity and
-    data family; profile(x, tvals) is the batched entry point."""
+    data family; profile(x, tvals) is the batched entry point: x of shape
+    (n,) with tvals (T,), or x of shape (P, n) with tvals (P, T).
+
+    data: a phi problem's ``transformed_data(spec)``, built once by a
+    caller that makes many calls; None builds it per call, so an
+    evaluator used once holds none.
+    """
 
     spec: ProblemSpec
     rules: RuleSet = dc_field(default_factory=RuleSet)
     method: str = "direct"  # 'direct' | 'transmutation'
+    data: TransformedData | None = None
 
     def profile(self, x, tvals) -> np.ndarray:
         spec = self.spec
         if spec.family == "psi":
             return solve_profile_psi(spec, x, tvals, self.rules)
         if self.method == "transmutation":
-            return solve_profile_transmutation(spec, x, tvals, self.rules)
+            return solve_profile_transmutation(spec, x, tvals, self.rules,
+                                               self.data)
         if spec.n % 2:
-            return solve_profile_odd(spec, x, tvals, self.rules)
-        return solve_profile_even(spec, x, tvals, self.rules)
+            return solve_profile_odd(spec, x, tvals, self.rules, self.data)
+        return solve_profile_even(spec, x, tvals, self.rules, self.data)
 
     def __call__(self, x, t: float) -> float:
         return float(self.profile(x, np.array([float(t)]))[0])

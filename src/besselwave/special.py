@@ -15,7 +15,10 @@ c_k = 1/((nu+1)_k k!), so both are summed by one core, ``_hyp0f1``:
     One scalar recurrence yields K and c_0..c_K together, which costs
     less than looking a table up;
   * the polynomial sum_{k<=K} c_k w^k is evaluated by in-place Horner,
-    two array operations per term.
+    two array operations per term;
+  * with ``rows`` (a batch over the leading axis) K is fixed per row, and
+    zeros pad each row's coefficients: Horner keeps a row's total exactly
+    0 up to its own leading term, so a row gets the bits it gets alone.
 
 The tolerance is absolute.  Nothing is lost against a test relative to
 the partial sum near the zeros of jbar: there the alternating series
@@ -94,14 +97,14 @@ def rgamma(x: float) -> float:
         return 0.0
 
 
-def _hyp0f1(nu: float, w: np.ndarray) -> np.ndarray:
+def _hyp0f1(nu: float, w: np.ndarray, rows: bool = False) -> np.ndarray:
     """0F1(; nu+1; w) = sum_k c_k w^k, c_k = 1/((nu+1)_k k!), for nu > -1
     and a float array w with |w| <= MAX_ARGUMENT^2 / 4.
 
-    One term count K for the whole array (see the module docstring).  The
-    term bound |c_k| max|w|^k rises to one peak and then falls; with
-    |w| <= 625 and nu + 1 >= 2^-53 the peak stays below 1e40, so the
-    recurrence cannot overflow.  AccuracyError if K would exceed
+    One term count K for the whole array, or per row (see the module
+    docstring).  The term bound |c_k| max|w|^k rises to one peak and then
+    falls; with |w| <= 625 and nu + 1 >= 2^-53 the peak stays below 1e40,
+    so the recurrence cannot overflow.  AccuracyError if K would exceed
     _MAX_TERMS.
     """
     w_max = float(np.max(np.abs(w), initial=0.0))
@@ -115,6 +118,14 @@ def _hyp0f1(nu: float, w: np.ndarray) -> np.ndarray:
         step = 1.0 / ((nu + k) * k)
         coeffs.append(coeffs[-1] * step)
         bound *= w_max * step
+    if rows:  # the same bound products per row; its K is their first <= tol
+        steps = np.array([1.0 / ((nu + k) * k) for k in range(1, len(coeffs))])
+        row_max = np.max(np.abs(w).reshape(len(w), -1), axis=1, initial=0.0)
+        bounds = np.cumprod(row_max[:, None] * steps, axis=1)
+        last = np.argmax(bounds <= _TERM_TOL, axis=1) + 1
+        keep = np.arange(len(coeffs))[:, None] <= last
+        coeffs = list((np.array(coeffs)[:, None] * keep).reshape(
+            (len(coeffs), len(w)) + (1,) * (w.ndim - 1)))
     return _horner(coeffs, w)
 
 
@@ -166,12 +177,13 @@ def _poisson_jbar(nu: float, z: np.ndarray) -> np.ndarray:
                   axis=-1)
 
 
-def bessel_clifford(nu: float, z):
+def bessel_clifford(nu: float, z, rows: bool = False):
     """Evaluate jbar(nu, z): series for small |z|, Poisson's integral beyond.
 
-    Accepts a scalar or an ndarray argument.  Raises DomainError for
-    nu <= -1 or a non-finite z, AccuracyError for |z| > MAX_ARGUMENT or
-    if the series needs more than _MAX_TERMS terms.
+    Accepts a scalar or an ndarray argument, with rows a batch over its
+    leading axis (module docstring).  Raises DomainError for nu <= -1 or
+    a non-finite z, AccuracyError for |z| > MAX_ARGUMENT or if the series
+    needs more than _MAX_TERMS terms.
     """
     if not (nu > -1.0 and math.isfinite(nu)):
         raise DomainError(
@@ -187,13 +199,12 @@ def bessel_clifford(nu: float, z):
             f"|z| > {MAX_ARGUMENT} is outside the documented range")
 
     if z_max <= SERIES_CUTOFF:
-        out = _hyp0f1(nu, -0.25 * za * za)
-    else:
-        out = np.empty_like(za)
+        out = _hyp0f1(nu, -0.25 * za * za, rows)
+    else:  # zeros keep the series' array, and its rows, whole
         big = za > SERIES_CUTOFF
+        zs = np.where(big, 0.0, za)
+        out = _hyp0f1(nu, -0.25 * zs * zs, rows)
         out[big] = _poisson_jbar(nu, za[big])
-        zs = za[~big]
-        out[~big] = _hyp0f1(nu, -0.25 * zs * zs)
     return float(out[0]) if scalar else out
 
 

@@ -5,12 +5,15 @@ operator is applied by nested second-order finite-difference stencils,
 and initial conditions are recovered by Richardson extrapolation of
 small-t derivative ladders.  Agreement is therefore evidence, not
 circularity.
+Each residual step is one ``profile`` call on the whole stencil
+(``stencil_batch``), and all phi ladders at one x sample share one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,37 +47,71 @@ def _operator_params(u, gamma_param, lam):
     return float(gamma_param), float(lam)
 
 
+@lru_cache(maxsize=None)
+def _laplacian_power(n: int, j: int) -> dict:
+    """Integer coefficients {i_x: c} of (h^2 Delta_h)^j on the n-d grid."""
+    if j == 0:
+        return {(0,) * n: 1}
+    out: dict = {}
+    for ix, c in _laplacian_power(n, j - 1).items():
+        out[ix] = out.get(ix, 0) - 2 * n * c
+        for d in range(n):
+            for step in (1, -1):
+                jx = ix[:d] + (ix[d] + step,) + ix[d + 1:]
+                out[jx] = out.get(jx, 0) + c
+    return out
+
+
 def residual_stencil(m: int, n: int, t: float, h: float, gamma_param: float,
                      lam: float) -> dict:
     """Coefficients of the m-fold nested second-order stencil for the
-    operator  d^2/dt^2 + ((2 gamma + 1)/t) d/dt - Laplacian + lam^2.
+    operator  L = d^2/dt^2 + ((2 gamma + 1)/t) d/dt - Laplacian + lam^2.
 
     Keys are (i_t, i_x) grid offsets (i_x an n-tuple); the represented
     functional is  sum c * u(x + h*i_x, t + h*i_t)  ~ (L^m u)(x, t),
     accurate to O(h^2).  The drift coefficient is evaluated at the grid
-    point the stencil acts on, so composition stays consistent.
+    point the stencil acts on, so composition stays consistent.  The
+    t-part T_h and the grid Laplacian Delta_h commute, so L_h^m =
+    sum_j C(m, j) (T_h + lam^2)^(m-j) (-Delta_h)^j: the x-part is a cached
+    integer table, and only the 1-D t-part is built, in the arithmetic of
+    t and h (float or mpmath).
     """
-    drift = 2.0 * gamma_param + 1.0
-    zero_ix = (0,) * n
-    stencil = {(0, zero_ix): 1.0}
+    inv_h2, half_drift = 1.0 / h ** 2, (2.0 * gamma_param + 1.0) / (2.0 * h)
+    centre = lam ** 2 - 2.0 * inv_h2
+    t_parts = [{0: 1.0}]  # (T_h + lam^2)^p as {i_t: c}, p = 0..m
     for _ in range(m):
         new: dict = {}
-
-        def add(key, c):
-            new[key] = new.get(key, 0.0) + c
-
-        for (it, ix), c in stencil.items():
-            tp = t + it * h
-            add((it + 1, ix), c * (1.0 / h ** 2 + drift / (2.0 * h * tp)))
-            add((it - 1, ix), c * (1.0 / h ** 2 - drift / (2.0 * h * tp)))
-            add((it, ix), c * (-2.0 / h ** 2 + lam ** 2 + 2.0 * n / h ** 2))
-            for d in range(n):
-                for step in (1, -1):
-                    jx = list(ix)
-                    jx[d] += step
-                    add((it, tuple(jx)), -c / h ** 2)
-        stencil = new
+        for it, c in t_parts[-1].items():
+            b = half_drift / (t + it * h)
+            for jt, cj in ((it + 1, c * (inv_h2 + b)),
+                           (it - 1, c * (inv_h2 - b)), (it, c * centre)):
+                new[jt] = new[jt] + cj if jt in new else cj
+        t_parts.append(new)
+    stencil: dict = {}
+    for j in range(m + 1):
+        scale = math.comb(m, j) * (-1) ** j * inv_h2 ** j
+        for it, ct in t_parts[m - j].items():
+            sc = scale * ct
+            for ix, cx in _laplacian_power(n, j).items():
+                term = sc * cx
+                key = (it, ix)
+                stencil[key] = stencil[key] + term if key in stencil else term
     return stencil
+
+
+def stencil_batch(m: int, x, t, h, gamma_param, lam):
+    """The residual stencil at (x, t) as one profile batch: (E, n) points
+    x + h*i_x, (E, 1) times t + h*i_t in the arithmetic of t and h, and
+    the E coefficients.  ContractError unless t > MIN_T_FACTOR * m * h."""
+    if t <= MIN_T_FACTOR * m * h:
+        raise ContractError(
+            f"residual stencil needs t > {MIN_T_FACTOR * m * h} "
+            f"(t={t}, m={m}, h={h})")
+    x = np.asarray(x, dtype=float)
+    stencil = residual_stencil(m, x.size, t, h, gamma_param, lam)
+    its, ixs = zip(*stencil)
+    points = x + float(h) * np.asarray(ixs, dtype=float)
+    return points, np.array([[t + h * it] for it in its]), list(stencil.values())
 
 
 def residual_iterated_operator(u, x, t: float, m: int, h: float = 1e-3,
@@ -82,29 +119,11 @@ def residual_iterated_operator(u, x, t: float, m: int, h: float = 1e-3,
                                lam: float | None = None) -> float:
     """|L^m u|(x, t) by nested finite differences.
 
-    u must expose profile(x, tvals); evaluations are grouped by spatial
-    offset so each distinct x costs one batched call.
+    u.profile takes x of shape (P, n) and tvals of shape (P, T).
     """
     gamma_param, lam = _operator_params(u, gamma_param, lam)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if t <= MIN_T_FACTOR * m * h:
-        raise ContractError(
-            f"residual stencil needs t > {MIN_T_FACTOR * m * h} "
-            f"(t={t}, m={m}, h={h})")
-    stencil = residual_stencil(m, n, t, h, gamma_param, lam)
-
-    by_x: dict = {}
-    for (it, ix), c in stencil.items():
-        by_x.setdefault(ix, []).append((it, c))
-    total = 0.0
-    for ix, entries in by_x.items():
-        its = sorted({it for it, _ in entries})
-        pt = x + h * np.asarray(ix, dtype=float)
-        vals = u.profile(pt, t + h * np.asarray(its, dtype=float))
-        lookup = dict(zip(its, vals))
-        total += sum(c * lookup[it] for it, c in entries)
-    return abs(total)
+    points, times, coeffs = stencil_batch(m, x, t, h, gamma_param, lam)
+    return abs(float(np.dot(coeffs, u.profile(points, times)[:, 0])))
 
 
 def estimate_order(pairs: list) -> float:
@@ -134,14 +153,10 @@ def residual_sweep(u, points: list, m: int,
     return report
 
 
-def _derivative_at(u, x, t: float, order: int, h: float) -> float:
-    """Central-difference derivative of given order from equispaced
-    samples of u.profile around t, by iterated second/first differences
-    (O(h^2))."""
-    half = (order + 1) // 2
-    offsets = np.arange(-2 * half, 2 * half + 1)
-    tv = t + h * offsets
-    vals = u.profile(x, tv)
+def _derivative(vals: np.ndarray, order: int, h: float) -> float:
+    """Central-difference derivative of given order from samples at
+    t + h*i, |i| <= 2 ((order + 1) // 2), by iterated second/first
+    differences (O(h^2))."""
     k = order
     while k >= 2:
         vals = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h ** 2
@@ -149,6 +164,22 @@ def _derivative_at(u, x, t: float, order: int, h: float) -> float:
     if k == 1:
         vals = (vals[2:] - vals[:-2]) / (2.0 * h)
     return float(vals[vals.size // 2])
+
+
+def _phi_ladders(u, x, m: int, t0: float, rel_step: float) -> dict:
+    """{order: derivative at t0, t0/2, t0/4} for orders 0..2m-1 at x, from
+    one profile call; order 2k and 2k + 1 use step rel_step * tv / (k+1)."""
+    plan = [(order, tv, rel_step * tv / (order // 2 + 1))
+            for order in range(2 * m) for tv in (t0, t0 / 2.0, t0 / 4.0)]
+    reach = [2 * ((order + 1) // 2) for order, _, _ in plan]
+    tvals = [tv + h * np.arange(-r, r + 1)
+             for (_, tv, h), r in zip(plan, reach)]
+    vals = np.split(u.profile(x, np.concatenate(tvals)),
+                    np.cumsum([tv.size for tv in tvals])[:-1])
+    ladders: dict = {}
+    for (order, _, h), v in zip(plan, vals):
+        ladders.setdefault(order, []).append(_derivative(v, order, h))
+    return ladders
 
 
 def check_initial_conditions(u, spec, x_sample: list, t0: float = 0.1,
@@ -171,28 +202,27 @@ def check_initial_conditions(u, spec, x_sample: list, t0: float = 0.1,
     from .transmute import bessel_op_apply
     report = VerificationReport()
     alpha = spec.alpha
+    xs = [np.asarray(xp, dtype=float) for xp in x_sample]
+    if spec.family == "phi":
+        ladders = [_phi_ladders(u, xp, spec.m, t0, rel_step) for xp in xs]
     for k in range(spec.m):
         errs = []
-        for xp in x_sample:
-            xp = np.asarray(xp, dtype=float)
+        for p, xp in enumerate(xs):
             target = float(spec.fields[k].eval(xp[None, :])[0])
-            ladder = []
-            for tv in (t0, t0 / 2.0, t0 / 4.0):
-                h = rel_step * tv / max(1, k + 1)
-                if spec.family == "phi":
-                    val = _derivative_at(u, xp, tv, 2 * k, h)
-                else:
-                    cond_map = 1.0
-                    for j in range(1, k + 1):
-                        cond_map *= 1.0 - alpha / j
+            if spec.family == "phi":
+                ladder = ladders[p][2 * k]
+            else:
+                ladder = []
+                cond_map = math.prod(1.0 - alpha / j for j in range(1, k + 1))
+                for tv in (t0, t0 / 2.0, t0 / 4.0):
+                    h = rel_step * tv / max(1, k + 1)
 
                     def v_of_t(ts, xp=xp):
                         ts = np.atleast_1d(np.asarray(ts, dtype=float))
                         return ts ** (2.0 * alpha - 1.0) * u.profile(xp, ts)
 
-                    val = (cond_map * (1.0 - 2.0 * alpha)
-                           * bessel_op_apply(v_of_t, 0.5 - alpha, k, tv, h))
-                ladder.append(val)
+                    ladder.append(cond_map * (1.0 - 2.0 * alpha) * bessel_op_apply(
+                        v_of_t, 0.5 - alpha, k, tv, h))
             r1 = [(4.0 * ladder[i + 1] - ladder[i]) / 3.0 for i in range(2)]
             est = (16.0 * r1[1] - r1[0]) / 15.0
             gaps = [abs(ladder[1] - ladder[0]), abs(ladder[2] - ladder[1])]
@@ -207,12 +237,7 @@ def check_initial_conditions(u, spec, x_sample: list, t0: float = 0.1,
         report.ic_errors[k] = max(errs)
         if spec.family == "phi":
             odd_errs = []
-            for xp in x_sample:
-                xp = np.asarray(xp, dtype=float)
-                ladder = []
-                for tv in (t0, t0 / 2.0, t0 / 4.0):
-                    h = rel_step * tv / max(1, k + 1)
-                    ladder.append(_derivative_at(u, xp, tv, 2 * k + 1, h))
+            for ladder in (lad[2 * k + 1] for lad in ladders):
                 # odd derivatives of an even solution form an odd series
                 # a t + b t^3 + ..., so eliminate t then t^3 at ratio 2
                 r1 = [2.0 * ladder[i + 1] - ladder[i] for i in range(2)]

@@ -66,14 +66,15 @@ class PolyWaveProblem:
 
 def time_derivative(g, rel_h: float):
     """d/dt of a vectorised function of a t-array, by central differences
-    with step rel_h * t and one Richardson level."""
+    with step rel_h * t and one Richardson level.  The shifted times are
+    stacked along the last axis, so a (P, T) batch stays one call."""
 
     def dg(tvals: np.ndarray) -> np.ndarray:
         tvals = np.asarray(tvals, dtype=float)
         h = rel_h * np.maximum(np.abs(tvals), _TINY_T)
         stacked = np.concatenate(
-            [tvals + h, tvals - h, tvals + h / 2, tvals - h / 2])
-        vp, vm, vp2, vm2 = np.split(g(stacked), 4)
+            [tvals + h, tvals - h, tvals + h / 2, tvals - h / 2], axis=-1)
+        vp, vm, vp2, vm2 = np.split(g(stacked), 4, axis=-1)
         d_h = (vp - vm) / (2.0 * h)
         d_h2 = (vp2 - vm2) / h
         return (4.0 * d_h2 - d_h) / 3.0
@@ -151,6 +152,8 @@ def ball_series(fields, x, tvals, n: int, beta0: float, lam: float, q: int,
     """const * t^t_power * sum_k w_k (1/t d/dt)^q of the ball integral of
     fields[k] against (t^2-rho^2)^{beta0+k} jbar(beta0+k, lam sqrt(t^2-rho^2)),
     with (w_k, const) = ball_series_constants(n, beta0, len(fields)).
+    x of shape (n,) takes tvals of shape (T,), and x of shape (P, n)
+    tvals of shape (P, T); row p of the result is the series about x[p].
 
     At lam = 0 the term with beta0 + k = -1 has weight 1/Gamma(0) = 0 on a
     divergent integral; it is replaced by its limit, 1/2 times the

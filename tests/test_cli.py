@@ -38,6 +38,20 @@ quadrature.radial_order = 48
 quadrature.sphere_order = 24
 """
 
+# the verify-suite n = 2, m = 2 config
+N2M2_CONFIG = """\
+problem.n = 2
+problem.m = 2
+problem.gamma = 0.25
+problem.lambda = 0.5
+data.phi0 = planewave:k=0.8 -0.6
+data.phi1 = gaussian:width=0.7,center=0.1 -0.2,amplitude=0.5
+grid.x = 0.3 -0.2
+grid.t = 1.0
+quadrature.radial_order = 48
+quadrature.sphere_order = 24
+"""
+
 
 class TestParseFieldSpec:
     def test_planewave(self):
@@ -422,6 +436,52 @@ class TestVerifyCommand:
         cfg.write_text(GOOD_CONFIG + "verify.fd_step = 2e-3\n")
         assert main(["verify", "--config", str(cfg)]) == 0
         assert "NOTE" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", [
+        # odd n: the mpmath residual
+        GOOD_CONFIG.replace("0.6244997998398398",
+                            "0.6244997998398398,amplitude=0"),
+        # even n: the float64 residual
+        N2M2_CONFIG.replace("amplitude=0.5", "amplitude=0")
+        .replace("k=0.8 -0.6", "k=0.8 -0.6,amplitude=0")])
+    def test_zero_data_exit_0(self, tmp_path, capsys, config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(["verify", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS residual_order = skipped: the residual is exactly 0 " \
+               "at every step" in lines
+        assert {line.split(" ")[1] for line in lines[:-1]} >= {
+            "two_path_gap", "initial_condition[0]", "initial_condition[odd_0]",
+            "residual_order"}
+        assert not any(line.startswith("FAIL") for line in lines)
+
+    def test_some_zero_residuals_exit_1(self, tmp_path, capsys, monkeypatch):
+        import besselwave.verify as verify_mod
+        values = iter([0.0, 1e-6, 2.5e-7])
+        monkeypatch.setattr(verify_mod, "residual_iterated_operator",
+                            lambda *args: next(values))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(N2M2_CONFIG)
+        assert main(["verify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: order estimation needs positive residuals")
+
+    @pytest.mark.parametrize("grid_x", ["0.3 -0.2", "0.3 -0.2; -0.1 0.4"])
+    def test_n2_m2_profile_calls(self, monkeypatch, capsys, grid_x):
+        # one batched (P, n) call per residual step, and one call per x
+        # sample for every phi ladder; the unbatched verify made 51 calls
+        # at one x sample
+        shapes = []
+        real = SolutionEvaluator.profile
+        monkeypatch.setattr(SolutionEvaluator, "profile",
+                            lambda self, x, t: shapes.append(np.ndim(x))
+                            or real(self, x, t))
+        cfg = parse_config(N2M2_CONFIG.replace("0.3 -0.2", grid_x))
+        besselwave.cli.cmd_verify(cfg, None)
+        assert shapes.count(2) == 3
+        assert shapes.count(1) == len(cfg.grid_x)
+        assert len(shapes) == 3 + len(cfg.grid_x)
 
 
 class TestConvergenceCommand:

@@ -289,6 +289,17 @@ class TestDampedIbar:
                                                       (mp.mpf(zi) / 2) ** 2)
                 assert abs(value - float(ref)) <= 1e-13 * float(ref)
 
+    @pytest.mark.parametrize("mu, z", [(-0.49, 52.70051645149163),
+                                       (-0.2723076923076923, 49.035016928760044)])
+    def test_rows_are_lone_calls(self, mu, z):
+        # Hankel's term count follows the smallest z of its call; one count
+        # shared with a row at z = 40 moves these values by one bit
+        batch = np.array([[40.0, 12.0], [z, 0.5 * z]])
+        batched = fields_mod._damped_ibar(mu, batch, rows=True)
+        for p in range(2):
+            assert np.array_equal(batched[p],
+                                  fields_mod._damped_ibar(mu, batch[p]))
+
 
 class TestCoefficientA:
     def test_examples(self):
