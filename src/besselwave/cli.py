@@ -187,17 +187,20 @@ def parse_config(text: str) -> RunConfig:
         lam = float(need("problem.lambda"))
     except ValueError as exc:
         raise ConfigError(f"bad problem block: {exc}") from None
+    if m < 1:
+        raise ConfigError(f"bad problem.m: {m} is not positive")
     family = raw.get("problem.family", "phi")
+    if family not in ("phi", "psi"):
+        raise ConfigError(f"bad problem.family: {family!r} is not phi or psi")
 
-    prefix = "phi" if family == "phi" else "psi"
     fields = []
     for k in range(m):
-        key = f"data.{prefix}{k}"
+        key = f"data.{family}{k}"
         if key not in raw:
             raise ConfigError(f"missing data field {key!r} "
-                              f"(family {family!r} needs {prefix}0..{prefix}{m - 1})")
+                              f"(family {family!r} needs {family}0..{family}{m - 1})")
         fields.append(parse_field_spec(raw[key], n))
-    extra = data_keys - {f"data.{prefix}{k}" for k in range(m)}
+    extra = data_keys - {f"data.{family}{k}" for k in range(m)}
     if extra:
         raise ConfigError(f"unexpected data keys: {sorted(extra)}")
 
@@ -309,9 +312,8 @@ def cmd_verify(cfg: RunConfig, out_path: str | None,
     from .solver import solve_profile_psi, transformed_data
     tol = tolerance if tolerance is not None else cfg.verify_opts["tolerance"]
     spec = cfg.spec
-    evaluator = SolutionEvaluator(
-        spec, cfg.rules,
-        data=transformed_data(spec) if spec.family == "phi" else None)
+    data = transformed_data(spec)
+    evaluator = SolutionEvaluator(spec, cfg.rules, data=data)
     xs = cfg.grid_x or [np.zeros(spec.n)]
     ts = cfg.grid_t or [1.0]
     probes = cfg.verify_opts["probes"]
@@ -323,10 +325,10 @@ def cmd_verify(cfg: RunConfig, out_path: str | None,
         checks.append(("two_path_gap", rep.two_path_gap, tol,
                        rep.two_path_gap <= tol))
     else:
-        gap = 0.0
+        gap, tv = 0.0, np.asarray(ts)
         for x in xs[:probes]:
-            a = solve_profile_psi(spec, x, np.asarray(ts), cfg.rules, "lemma4")
-            b = solve_profile_psi(spec, x, np.asarray(ts), cfg.rules, "direct")
+            a = solve_profile_psi(spec, x, tv, cfg.rules, "lemma4", data)
+            b = solve_profile_psi(spec, x, tv, cfg.rules, "direct", data)
             gap = max(gap, float(np.max(np.abs(a - b))))
         checks.append(("psi_method_gap", gap, tol, gap <= tol))
 

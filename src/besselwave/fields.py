@@ -366,10 +366,6 @@ class FieldSum(SmoothField):
             total = total + coeff * f.sphere_mean(x, radii)
         return total
 
-    def scaled(self, factor: float) -> "FieldSum":
-        return FieldSum([(c * factor, s, f) for c, s, f in self.terms],
-                        self.dimension)
-
 
 def zero_field(dimension: int) -> FieldSum:
     return FieldSum([], dimension)
@@ -388,17 +384,13 @@ def coefficient_a(j: int, alpha: float) -> float:
 class TransformedData:
     """Initial data after the two transformation layers.
 
-    capital_phi[k], capital_psi[k] are the wave-problem initial values;
-    f[k], g[k] the reduced-system data built from their iterated
-    Laplacians.  All lists have length m; f[0] is capital_phi[0] and g[0]
-    is capital_psi[0] identically.
+    capital_phi[k] are the wave-problem initial values U^(2k)(0), and
+    f[k] the reduced-system data built from their iterated Laplacians.
+    Both lists have length m; f[0] is capital_phi[0] identically.
     """
 
     capital_phi: list
-    capital_psi: list
     f: list
-    g: list
-    a_coeffs: list
 
     @property
     def m(self) -> int:
@@ -432,34 +424,21 @@ def _reduced_data(capital: list, m: int) -> list:
     return out
 
 
-def build_transformed_data(phi: list, psi: list, m: int, lam: float,
+def build_transformed_data(phi: list, m: int, lam: float,
                            alpha: float) -> TransformedData:
-    """Build Phi_k, Psi_k and the reduced-system data f_k, g_k.
+    """Build Phi_k and the reduced-system data f_k:
 
     Phi_k = sum_j a_j C(k,j) lam^{2(k-j)} phi_j, and
-    f_k = sum_j (-1)^{k-j} C(k,j) Laplacian^{k-j} Phi_j (same for Psi -> g).
-    An empty psi list means the pure even-derivative problem (g_k = 0).
+    f_k = sum_j (-1)^{k-j} C(k,j) Laplacian^{k-j} Phi_j.
+
+    Only even-derivative data enter: the weighted odd-derivative problem
+    reaches this through the complementary parameter
+    (``build_psi_star_data``).
     """
-    if len(phi) != m and phi:
+    if len(phi) != m:
         raise DomainError(f"need {m} phi fields, got {len(phi)}")
-    if psi and len(psi) != m:
-        raise DomainError(f"need {m} psi fields, got {len(psi)}")
-    dim = (phi or psi)[0].dimension
-    if not phi:
-        phi_caps = [zero_field(dim) for _ in range(m)]
-    else:
-        phi_caps = _capital_transform(phi, m, lam, alpha)
-    if not psi:
-        psi_caps = [zero_field(dim) for _ in range(m)]
-    else:
-        psi_caps = _capital_transform(psi, m, lam, alpha)
-    return TransformedData(
-        capital_phi=phi_caps,
-        capital_psi=psi_caps,
-        f=_reduced_data(phi_caps, m) if phi else [zero_field(dim)] * m,
-        g=_reduced_data(psi_caps, m) if psi else [zero_field(dim)] * m,
-        a_coeffs=[coefficient_a(j, alpha) for j in range(m)],
-    )
+    capital = _capital_transform(phi, m, lam, alpha)
+    return TransformedData(capital_phi=capital, f=_reduced_data(capital, m))
 
 
 def psi_star_from_psi(psi: list, m: int, alpha: float) -> list:
@@ -502,4 +481,4 @@ def build_psi_star_data(psi_star: list, m: int, lam: float,
             den *= (alpha_c + 0.5) + i
         phi_equiv.append(FieldSum([(scale * num / den, 0, psi_star[k])],
                                   psi_star[k].dimension))
-    return build_transformed_data(phi_equiv, [], m, lam, alpha_c)
+    return build_transformed_data(phi_equiv, m, lam, alpha_c)

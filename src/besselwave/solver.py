@@ -78,6 +78,11 @@ class ProblemSpec:
             raise DomainError(f"unknown data family {self.family!r}")
         if len(self.fields) != self.m:
             raise DomainError(f"need {self.m} data fields, got {len(self.fields)}")
+        for k, fld in enumerate(self.fields):
+            if fld.dimension != self.n:
+                raise DomainError(
+                    f"data field {k} (data.{self.family}{k}) has dimension "
+                    f"{fld.dimension}, but n={self.n}")
 
     @property
     def alpha(self) -> float:
@@ -113,10 +118,22 @@ def _gamma_named(spec: ProblemSpec, order: int):
 
 
 def transformed_data(spec: ProblemSpec) -> TransformedData:
-    if spec.family != "phi":
-        raise ContractError("transformed_data is the phi-problem transform")
-    return build_transformed_data(list(spec.fields), [], spec.m, spec.lam,
+    """The data every route of spec reads: the phi transform, or for a psi
+    problem the psi-star data at the complementary parameter 1 - alpha."""
+    if spec.family == "psi":
+        return build_psi_star_data(
+            psi_star_from_psi(list(spec.fields), spec.m, spec.alpha),
+            spec.m, spec.lam, spec.alpha)
+    return build_transformed_data(list(spec.fields), spec.m, spec.lam,
                                   spec.alpha)
+
+
+def _phi_data(spec: ProblemSpec, data: TransformedData | None):
+    """data, or the spec's own when None; the closed forms and the
+    transmutation route solve phi problems only."""
+    if spec.family != "phi":
+        raise ContractError("the phi-problem routes need a phi-family spec")
+    return transformed_data(spec) if data is None else data
 
 
 def solve_point_odd(spec: ProblemSpec, x, t: float,
@@ -130,8 +147,7 @@ def solve_profile_odd(spec: ProblemSpec, x, tvals, rules: RuleSet | None = None,
     if spec.n % 2 == 0 or spec.n < 3:
         raise ContractError(f"odd-dimension formula needs odd n >= 3, got n={spec.n}")
     alpha, rules = spec.alpha, rules or RuleSet()
-    if data is None:
-        data = transformed_data(spec)
+    data = _phi_data(spec, data)
     with _gamma_named(spec, rules.radial_order):
         return ball_series(data.f, x, tvals, spec.n, alpha - 1.0, spec.lam,
                            spec.n // 2, 1.0 - 2.0 * alpha, rules)
@@ -148,8 +164,7 @@ def solve_profile_even(spec: ProblemSpec, x, tvals, rules: RuleSet | None = None
     if spec.n % 2:
         raise ContractError(f"even-dimension formula needs even n, got n={spec.n}")
     alpha = spec.alpha
-    if data is None:
-        data = transformed_data(spec)
+    data = _phi_data(spec, data)
     return ball_series(data.f, x, tvals, spec.n, alpha - 0.5, spec.lam,
                        spec.n // 2, 1.0 - 2.0 * alpha, rules or RuleSet())
 
@@ -167,8 +182,7 @@ def solve_profile_transmutation(spec: ProblemSpec, x, tvals,
     poly-wave solution of the transformed-data problem; row by row."""
     rules, x = rules or RuleSet(), np.asarray(x, dtype=float)
     alpha = spec.alpha
-    if data is None:
-        data = transformed_data(spec)
+    data = _phi_data(spec, data)
     if x.ndim == 2:
         return np.array([solve_profile_transmutation(spec, xp, tp, rules, data)
                          for xp, tp in zip(x, tvals)])
@@ -191,13 +205,15 @@ def solve_profile_transmutation(spec: ProblemSpec, x, tvals,
 
 
 def solve_profile_psi(spec: ProblemSpec, x, tvals, rules: RuleSet | None = None,
-                      method: str = "lemma4") -> np.ndarray:
+                      method: str = "lemma4",
+                      data: TransformedData | None = None) -> np.ndarray:
     """Weighted-odd-data problem, valid for 0 < alpha < 1/2.
 
     'lemma4' routes through the even-data solver at the complementary
     parameter 1 - alpha and multiplies by t^{1-2 alpha}; 'direct'
     evaluates the ball-integral formula with kernel exponents k - alpha
-    (odd n) or k + 1/2 - alpha (even n).  The two must agree.
+    (odd n) or k + 1/2 - alpha (even n).  The two must agree.  data:
+    ``transformed_data(spec)``, or None to build it.
     """
     rules = rules or RuleSet()
     alpha = spec.alpha
@@ -207,8 +223,8 @@ def solve_profile_psi(spec: ProblemSpec, x, tvals, rules: RuleSet | None = None,
         raise DomainError(
             f"the weighted-data route requires 0 < alpha < 1/2, got alpha={alpha}")
     tvals = np.asarray(tvals, dtype=float)
-    psi_star = psi_star_from_psi(list(spec.fields), spec.m, alpha)
-    data = build_psi_star_data(psi_star, spec.m, spec.lam, alpha)
+    if data is None:
+        data = transformed_data(spec)
     alpha_c = 1.0 - alpha
 
     if method == "lemma4":
@@ -241,9 +257,9 @@ class SolutionEvaluator:
     data family; profile(x, tvals) is the batched entry point: x of shape
     (n,) with tvals (T,), or x of shape (P, n) with tvals (P, T).
 
-    data: a phi problem's ``transformed_data(spec)``, built once by a
-    caller that makes many calls; None builds it per call, so an
-    evaluator used once holds none.
+    data: ``transformed_data(spec)``, built once by a caller that makes
+    many calls; None builds it per call, so an evaluator used once holds
+    none.
     """
 
     spec: ProblemSpec
@@ -254,7 +270,8 @@ class SolutionEvaluator:
     def profile(self, x, tvals) -> np.ndarray:
         spec = self.spec
         if spec.family == "psi":
-            return solve_profile_psi(spec, x, tvals, self.rules)
+            return solve_profile_psi(spec, x, tvals, self.rules,
+                                     data=self.data)
         if self.method == "transmutation":
             return solve_profile_transmutation(spec, x, tvals, self.rules,
                                                self.data)

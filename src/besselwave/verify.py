@@ -26,25 +26,11 @@ MIN_T_FACTOR = 10.0
 
 @dataclass
 class VerificationReport:
-    residual_norms: list = dc_field(default_factory=list)  # (h, max residual)
-    estimated_order: float | None = None
     ic_errors: dict = dc_field(default_factory=dict)
     two_path_gap: float | None = None
     oracle_gap: float | None = None
     details: dict = dc_field(default_factory=dict)
     flags: list = dc_field(default_factory=list)
-
-
-def _operator_params(u, gamma_param, lam):
-    if gamma_param is None or lam is None:
-        spec = getattr(u, "spec", None)
-        if spec is None:
-            raise ContractError(
-                "operator parameters unavailable: pass gamma_param and lam "
-                "or use an evaluator that carries a problem spec")
-        gamma_param = spec.gamma_param if gamma_param is None else gamma_param
-        lam = spec.lam if lam is None else lam
-    return float(gamma_param), float(lam)
 
 
 @lru_cache(maxsize=None)
@@ -114,15 +100,14 @@ def stencil_batch(m: int, x, t, h, gamma_param, lam):
     return points, np.array([[t + h * it] for it in its]), list(stencil.values())
 
 
-def residual_iterated_operator(u, x, t: float, m: int, h: float = 1e-3,
-                               gamma_param: float | None = None,
-                               lam: float | None = None) -> float:
-    """|L^m u|(x, t) by nested finite differences.
-
-    u.profile takes x of shape (P, n) and tvals of shape (P, T).
+def residual_iterated_operator(u, x, t: float, m: int,
+                               h: float = 1e-3) -> float:
+    """|L^m u|(x, t) by nested finite differences, with gamma and lambda
+    of u.spec.  u.profile takes x of shape (P, n) and tvals of shape
+    (P, T).
     """
-    gamma_param, lam = _operator_params(u, gamma_param, lam)
-    points, times, coeffs = stencil_batch(m, x, t, h, gamma_param, lam)
+    points, times, coeffs = stencil_batch(m, x, t, h, u.spec.gamma_param,
+                                          u.spec.lam)
     return abs(float(np.dot(coeffs, u.profile(points, times)[:, 0])))
 
 
@@ -137,20 +122,6 @@ def estimate_order(pairs: list) -> float:
         raise DomainError("order estimation needs positive residuals")
     slope = np.polyfit(np.log(hs), np.log(rs), 1)[0]
     return float(slope)
-
-
-def residual_sweep(u, points: list, m: int,
-                   steps=(4e-3, 2e-3, 1e-3),
-                   gamma_param: float | None = None,
-                   lam: float | None = None) -> VerificationReport:
-    """Max-over-points residual at each step size, plus the fitted order."""
-    report = VerificationReport()
-    for h in steps:
-        worst = max(residual_iterated_operator(u, x, t, m, h, gamma_param, lam)
-                    for x, t in points)
-        report.residual_norms.append((h, worst))
-    report.estimated_order = estimate_order(report.residual_norms)
-    return report
 
 
 def _derivative(vals: np.ndarray, order: int, h: float) -> float:

@@ -49,7 +49,7 @@ class RuleSet:
 @dataclass(frozen=True)
 class PolyWaveProblem:
     """Cauchy problem for (d^2/dt^2 - Laplacian)^m U = 0 with data
-    U^(2k)(0) = Phi_k, U^(2k+1)(0) = Psi_k carried as reduced f_k, g_k."""
+    U^(2k)(0) = Phi_k carried as reduced f_k, U^(2k+1)(0) = 0."""
 
     n: int
     m: int
@@ -102,10 +102,12 @@ def ball_series_constants(n: int, beta0: float, m: int) -> tuple[list, float]:
 
     Derivation.  The iterated plain-wave solution (the transformed-data
     problem) is the alpha -> 0 case of the closed form: beta0 = alpha - 1
-    -> -1 and t^{1-2 alpha} -> t.  For odd n its k = 0 term on g-data is
-    Kirchhoff's formula
+    -> -1 and t^{1-2 alpha} -> t.  For odd n its k = 0 term is
+    t (1/t d/dt) = d/dt of Kirchhoff's formula for velocity data f_0,
 
-        1/((n-2)!! omega_n) (1/t d/dt)^{(n-3)/2} (1/t) int_{S(x,t)} g dS.
+        1/((n-2)!! omega_n) (1/t d/dt)^{(n-3)/2} (1/t) int_{S(x,t)} f_0 dS,
+
+    which is Kirchhoff's formula for displacement data f_0.
 
     As beta -> -1 the kernel (t^2-rho^2)_+^beta / Gamma(beta+1) tends to
     delta(t^2-rho^2), whose ball integral is (1/2t) int_{S(x,t)}: half the
@@ -183,28 +185,22 @@ def ball_series(fields, x, tvals, n: int, beta0: float, lam: float, q: int,
     return const * tvals ** t_power * total
 
 
-def _polywave(x, tvals, problem: PolyWaveProblem, rules: RuleSet,
-              beta0: float) -> np.ndarray:
-    # d/dt (1/t d/dt)^{q-1} = t (1/t d/dt)^q on the f-data, and
-    # (1/t d/dt)^{q-1} on the g-data
-    n, data, q = problem.n, problem.data, problem.n // 2
-    return (ball_series(data.f, x, tvals, n, beta0, 0.0, q, 1.0, rules)
-            + ball_series(data.g, x, tvals, n, beta0, 0.0, q - 1, 0.0, rules))
-
-
 def polywave_solve_odd_many(x, tvals: np.ndarray, problem: PolyWaveProblem,
                             rules: RuleSet) -> np.ndarray:
-    """Explicit odd-dimension solution: the ball series at beta0 = -1,
-    whose k = 0 term is the Kirchhoff surface term."""
+    """Explicit odd-dimension solution: the ball series at beta0 = -1 with
+    outer operator t (1/t d/dt)^q = d/dt (1/t d/dt)^{q-1}, whose k = 0
+    term is the Kirchhoff surface term."""
     if problem.n % 2 == 0 or problem.n < 3:
         raise ContractError(f"odd-dimension solver called with n={problem.n}")
-    return _polywave(x, tvals, problem, rules, -1.0)
+    return ball_series(problem.data.f, x, tvals, problem.n, -1.0, 0.0,
+                       problem.n // 2, 1.0, rules)
 
 
 def polywave_solve_even_many(x, tvals: np.ndarray, problem: PolyWaveProblem,
                              rules: RuleSet) -> np.ndarray:
     """Even-dimension solution by descent: the ball series at
-    beta0 = -1/2."""
+    beta0 = -1/2, with the outer operator of the odd solver."""
     if problem.n % 2 or problem.n < 2:
         raise ContractError(f"even-dimension solver called with n={problem.n}")
-    return _polywave(x, tvals, problem, rules, -0.5)
+    return ball_series(problem.data.f, x, tvals, problem.n, -0.5, 0.0,
+                       problem.n // 2, 1.0, rules)

@@ -52,6 +52,20 @@ quadrature.radial_order = 48
 quadrature.sphere_order = 24
 """
 
+# the verify-suite psi config
+PSI_CONFIG = """\
+problem.n = 3
+problem.m = 1
+problem.gamma = -0.3
+problem.lambda = 0.6
+problem.family = psi
+data.psi0 = planewave:k=0.6 -0.5 0.6244997998398398
+grid.x = 0.3 -0.2 0.45
+grid.t = 1.2
+quadrature.radial_order = 48
+quadrature.sphere_order = 24
+"""
+
 
 class TestParseFieldSpec:
     def test_planewave(self):
@@ -200,6 +214,11 @@ class TestSolveCommand:
         ("convergence.orders", "16 2x 32"),
         ("output.precision", "high"),
         ("output.precision", "-3"),
+        ("problem.m", "0"),
+        ("problem.family", "Phi"),
+        ("data.phi0", "planewave:k=0.6 -0.5"),
+        ("data.phi0", "gaussian:width=0.7,center=0.1 -0.2 0.0 0.3"),
+        ("data.phi0", "sineproduct:k=0.7 -0.4"),
     ])
     def test_bad_number_exit_1(self, tmp_path, capsys, key, value):
         text = GOOD_CONFIG.replace(f"{key} = ", "# ") + f"{key} = {value}\n"
@@ -482,6 +501,19 @@ class TestVerifyCommand:
         assert shapes.count(2) == 3
         assert shapes.count(1) == len(cfg.grid_x)
         assert len(shapes) == 3 + len(cfg.grid_x)
+
+    def test_psi_data_built_once(self, monkeypatch, capsys):
+        # the psi-star data (one build_transformed_data call) are built
+        # once and shared by both psi methods and the evaluator
+        import besselwave.fields as fields_mod
+        builds = []
+        real = fields_mod.build_transformed_data
+        monkeypatch.setattr(fields_mod, "build_transformed_data",
+                            lambda *a: builds.append(a) or real(*a))
+        cfg = parse_config(PSI_CONFIG)
+        assert besselwave.cli.cmd_verify(cfg, None) == 3
+        assert "PASS psi_method_gap" in capsys.readouterr().out
+        assert len(builds) == 1
 
 
 class TestConvergenceCommand:

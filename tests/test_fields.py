@@ -87,8 +87,6 @@ class TestFieldSum:
         x = np.array([[0.3, 0.4]])
         expected = 2.0 * pw.eval(x) - poly.eval(x, 1)
         assert fs.eval(x)[0] == pytest.approx(expected[0], rel=1e-14)
-        assert fs.scaled(0.5).eval(x)[0] == pytest.approx(0.5 * expected[0],
-                                                          rel=1e-14)
 
     def test_zero_field(self):
         z = zero_field(3)
@@ -234,7 +232,7 @@ class TestSphereMean:
         phi1 = PlaneWaveField(np.array([0.2, 0.3, -0.1]), phase=0.4,
                               amplitude=0.8)
         g = GaussianField(0.7, np.array([0.1, -0.2, 0.0]))
-        data = build_transformed_data([phi0, phi1], [], 2, 0.5, 0.75)
+        data = build_transformed_data([phi0, phi1], 2, 0.5, 0.75)
         x, radii = np.array([0.3, -0.2, 0.45]), np.linspace(0.0, 2.5, 11)
         for fs in (data.f[1], FieldSum([(1.5, 0, phi0), (-0.5, 0, g),
                                         (2.0, 1, phi0), (0.3, 2, phi0)])):
@@ -317,7 +315,7 @@ class TestCoefficientA:
 class TestTransformedData:
     def test_m1_passthrough(self):
         pw = PlaneWaveField(np.array([1.0, 0.0]))
-        data = build_transformed_data([pw], [], 1, 0.7, 0.9)
+        data = build_transformed_data([pw], 1, 0.7, 0.9)
         x = np.array([[0.4, -0.2]])
         a0 = coefficient_a(0, 0.9)
         assert data.capital_phi[0].eval(x)[0] == pytest.approx(
@@ -325,13 +323,12 @@ class TestTransformedData:
         # f_0 = Phi_0 identically
         assert data.f[0].eval(x)[0] == pytest.approx(
             data.capital_phi[0].eval(x)[0], rel=1e-14)
-        assert data.g[0].eval(x)[0] == 0.0
 
     def test_lambda_zero_diagonal(self):
         pw0 = PlaneWaveField(np.array([1.0, 0.0]))
         pw1 = PlaneWaveField(np.array([0.0, 1.0]), phase=0.2)
         alpha = 0.6
-        data = build_transformed_data([pw0, pw1], [], 2, 0.0, alpha)
+        data = build_transformed_data([pw0, pw1], 2, 0.0, alpha)
         x = np.array([[0.3, 0.9]])
         # lam = 0 kills all j < k terms: Phi_k = a_k phi_k
         assert data.capital_phi[1].eval(x)[0] == pytest.approx(
@@ -342,7 +339,7 @@ class TestTransformedData:
         k = np.array([0.6, -0.5, 0.2])
         pw = PlaneWaveField(k)
         alpha, lam = 0.75, 0.5
-        data = build_transformed_data([pw, pw], [], 2, lam, alpha)
+        data = build_transformed_data([pw, pw], 2, lam, alpha)
         x = np.array([[0.2, 0.4, -0.1]])
         p0 = data.capital_phi[0].eval(x)[0]
         p1 = data.capital_phi[1].eval(x)[0]
@@ -352,9 +349,9 @@ class TestTransformedData:
     def test_linearity_in_phi(self):
         pw = PlaneWaveField(np.array([0.8, 0.1]))
         x = np.array([[0.5, 0.5]])
-        d1 = build_transformed_data([pw, pw], [], 2, 0.4, 0.7)
+        d1 = build_transformed_data([pw, pw], 2, 0.4, 0.7)
         scaled = FieldSum([(3.0, 0, pw)])
-        d3 = build_transformed_data([scaled, scaled], [], 2, 0.4, 0.7)
+        d3 = build_transformed_data([scaled, scaled], 2, 0.4, 0.7)
         for k in range(2):
             assert d3.f[k].eval(x)[0] == pytest.approx(
                 3.0 * d1.f[k].eval(x)[0], rel=1e-13)
@@ -362,7 +359,7 @@ class TestTransformedData:
     def test_length_mismatch(self):
         pw = PlaneWaveField(np.ones(2))
         with pytest.raises(DomainError):
-            build_transformed_data([pw], [], 2, 0.0, 0.5)
+            build_transformed_data([pw], 2, 0.0, 0.5)
 
 
 class TestPsiData:

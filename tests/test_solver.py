@@ -57,12 +57,6 @@ class TestProblemSpec:
             ProblemSpec(n=3, m=1, gamma_param=gamma_param, lam=lam,
                         fields=(PlaneWaveField(K3),))
 
-    def test_transformed_data_is_phi_only(self):
-        spec = ProblemSpec(n=3, m=1, gamma_param=-0.3, lam=0.0, family="psi",
-                           fields=(PlaneWaveField(K3),))
-        with pytest.raises(ContractError):
-            transformed_data(spec)
-
 
 # |k| = 1 wave vectors and probe points in four and five dimensions
 K_HIGH = {4: np.array([0.5, -0.5, 0.5, 0.5]),
@@ -248,6 +242,20 @@ class TestPsiProblem:
         a = solve_profile_psi(spec, X3, ts, FAST, "lemma4")
         b = solve_profile_psi(spec, X3, ts, FAST, "direct")
         assert np.max(np.abs(a - b)) <= 1e-9
+
+    def test_passed_data_changes_nothing(self):
+        spec = self.make_spec()
+        data, ts = transformed_data(spec), np.array([0.4, 1.2, 2.0])
+        for method in ("lemma4", "direct"):
+            assert np.array_equal(
+                solve_profile_psi(spec, X3, ts, FAST, method),
+                solve_profile_psi(spec, X3, ts, FAST, method, data))
+        assert np.array_equal(SolutionEvaluator(spec, FAST).profile(X3, ts),
+                              SolutionEvaluator(spec, FAST, data=data)
+                              .profile(X3, ts))
+        # the psi data are not phi data: the phi routes refuse the spec
+        with pytest.raises(ContractError):
+            solve_profile_odd(spec, X3, ts, FAST, data)
 
     def test_window_guard(self):
         spec = ProblemSpec(n=3, m=1, gamma_param=0.2, lam=0.0, family="psi",

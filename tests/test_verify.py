@@ -11,8 +11,7 @@ from besselwave.solver import ProblemSpec, SolutionEvaluator
 from besselwave.special import bessel_clifford
 from besselwave.verify import (check_initial_conditions, convergence_study,
                                estimate_order, residual_iterated_operator,
-                               residual_stencil, residual_sweep,
-                               two_path_consistency)
+                               residual_stencil, two_path_consistency)
 from besselwave.wave import RuleSet
 
 FAST = RuleSet(radial_order=32, sphere_order=16)
@@ -30,19 +29,22 @@ class ExactEvaluator:
     """Closed-form separable solution for single-mode data with |k| = 1."""
 
     def __init__(self, spec):
-        self.spec = spec
+        self.spec = spec  # what the residual reads; the oracle is fixed here
+        self.nu, self.field = spec.gamma_param, spec.fields[0]
         self.mu = math.sqrt(1.0 + spec.lam ** 2)
 
     def profile(self, x, tvals):
         # x of shape (n,) with tvals (T,), or (P, n) with tvals (P, T)
         x = np.asarray(x, dtype=float)
-        amp = self.spec.fields[0].eval(np.atleast_2d(x))
+        amp = self.field.eval(np.atleast_2d(x))
         amp = amp[0] if x.ndim == 1 else amp[:, None]
-        return bessel_clifford(self.spec.gamma_param,
+        return bessel_clifford(self.nu,
                                self.mu * np.asarray(tvals, dtype=float)) * amp
 
 
 class ZeroEvaluator:
+    spec = spec_odd_m1()
+
     def profile(self, x, tvals):
         return np.zeros_like(np.asarray(tvals, dtype=float))
 
@@ -105,20 +107,12 @@ class TestResidualStencil:
         assert val == pytest.approx(exact, abs=1e-8)
 
     def test_zero_function(self):
-        u = ZeroEvaluator()
-        r = residual_iterated_operator(u, X3, 1.0, 1, 1e-3,
-                                       gamma_param=0.5, lam=1.0)
-        assert r == 0.0
+        assert residual_iterated_operator(ZeroEvaluator(), X3, 1.0, 1,
+                                          1e-3) == 0.0
 
     def test_small_t_guard(self):
-        u = ZeroEvaluator()
         with pytest.raises(ContractError):
-            residual_iterated_operator(u, X3, 0.005, 1, 1e-3,
-                                       gamma_param=0.5, lam=1.0)
-
-    def test_missing_params(self):
-        with pytest.raises(ContractError):
-            residual_iterated_operator(ZeroEvaluator(), X3, 1.0, 1, 1e-3)
+            residual_iterated_operator(ZeroEvaluator(), X3, 0.005, 1, 1e-3)
 
 
 class TestEstimateOrder:
@@ -133,23 +127,27 @@ class TestEstimateOrder:
         assert estimate_order(pairs) == pytest.approx(2.0, abs=1e-12)
 
 
+def residual_pairs(u, x, t, m, steps=(4e-3, 2e-3, 1e-3)):
+    """(h, residual) at each step size, the sweep ``cmd_verify`` runs."""
+    return [(h, residual_iterated_operator(u, x, t, m, h)) for h in steps]
+
+
 class TestResidualSweep:
     def test_exact_oracle_order_two(self):
         u = ExactEvaluator(spec_odd_m1())
-        report = residual_sweep(u, [(X3, 1.5)], 1,
-                                gamma_param=0.5, lam=1.0)
-        assert 1.7 <= report.estimated_order <= 2.3
+        assert 1.7 <= estimate_order(residual_pairs(u, X3, 1.5, 1)) <= 2.3
 
     def test_parameters_from_spec(self):
-        u = ExactEvaluator(spec_odd_m1())
-        report = residual_sweep(u, [(X3, 1.5)], 1)
-        assert 1.7 <= report.estimated_order <= 2.3
+        # the stencil reads gamma and lambda from u.spec: the same oracle
+        # under another problem's parameters leaves a residual of 0.2
+        u = ExactEvaluator(spec_odd_m1(gamma_param=0.2, lam=0.4))
+        assert 1.7 <= estimate_order(residual_pairs(u, X3, 1.5, 1)) <= 2.3
+        u.spec = spec_odd_m1()
+        assert all(r > 1e-2 for _, r in residual_pairs(u, X3, 1.5, 1))
 
     def test_deterministic(self):
         u = SolutionEvaluator(spec_odd_m1(), FAST)
-        a = residual_sweep(u, [(X3, 1.5)], 1, steps=(4e-3, 2e-3, 1e-3))
-        b = residual_sweep(u, [(X3, 1.5)], 1, steps=(4e-3, 2e-3, 1e-3))
-        assert a.residual_norms == b.residual_norms
+        assert residual_pairs(u, X3, 1.5, 1) == residual_pairs(u, X3, 1.5, 1)
 
 
 class TestInitialConditions:

@@ -22,10 +22,8 @@ X3 = np.array([0.3, -0.2, 0.45])
 TS = np.array([0.5, 1.2, 2.4])
 
 
-def plain_data(f_fields, g_fields):
-    m = len(f_fields)
-    return TransformedData(capital_phi=f_fields, capital_psi=g_fields,
-                           f=f_fields, g=g_fields, a_coeffs=[1.0] * m)
+def plain_data(f_fields):
+    return TransformedData(capital_phi=f_fields, f=f_fields)
 
 
 def single(field, coeff=1.0):
@@ -69,7 +67,7 @@ def wave_residual(problem, x, t, m, h, rules=RULES):
 
 class TestProblemValidation:
     def test_spec_guards(self):
-        data = plain_data([single(PW3)], [zero_field(3)])
+        data = plain_data([single(PW3)])
         with pytest.raises(DomainError):
             PolyWaveProblem(1, 1, data)
         with pytest.raises(DomainError):
@@ -78,7 +76,7 @@ class TestProblemValidation:
             PolyWaveProblem(3, 2, data)  # data length 1 != m
 
     def test_parity_dispatch(self):
-        data = plain_data([single(PW3)], [zero_field(3)])
+        data = plain_data([single(PW3)])
         prob = PolyWaveProblem(3, 1, data)
         with pytest.raises(ContractError):
             polywave_solve_even_many(X3, TS, prob, RULES)
@@ -86,40 +84,32 @@ class TestProblemValidation:
 
 class TestOddDimension:
     def test_kirchhoff_phi_oracle(self):
-        # f_0 = cos(k.x), g_0 = 0, |k| = 1 -> cos(t) cos(k.x)
-        prob = PolyWaveProblem(3, 1, plain_data([single(PW3)], [zero_field(3)]))
+        # f_0 = cos(k.x), |k| = 1 -> cos(t) cos(k.x)
+        prob = PolyWaveProblem(3, 1, plain_data([single(PW3)]))
         u = polywave_solve_odd_many(X3, TS, prob, RULES)
         exact = np.cos(TS) * PW3.eval(X3[None, :])[0]
         assert np.max(np.abs(u - exact)) <= 1e-10
-
-    def test_kirchhoff_psi_oracle(self):
-        # g_0 = cos(k.x) -> sin(t) cos(k.x)
-        prob = PolyWaveProblem(3, 1, plain_data([zero_field(3)], [single(PW3)]))
-        u = polywave_solve_odd_many(X3, TS, prob, RULES)
-        exact = np.sin(TS) * PW3.eval(X3[None, :])[0]
-        assert np.max(np.abs(u - exact)) <= 1e-12
 
     def test_iterated_mode_oracle(self):
         # double wave operator, single mode: Phi_0 = v, Phi_1 = b v gives
         # U = [cos t + (b + 1) t sin(t)/2] v   (|k| = 1)
         b = 0.7
         f1 = single(PW3, b + 1.0)  # reduced data Phi_1 - Laplacian Phi_0
-        prob = PolyWaveProblem(3, 2, plain_data([single(PW3), f1],
-                                                [zero_field(3), zero_field(3)]))
+        prob = PolyWaveProblem(3, 2, plain_data([single(PW3), f1]))
         u = polywave_solve_odd_many(X3, TS, prob, RULES)
         amp = PW3.eval(X3[None, :])[0]
         exact = (np.cos(TS) + 0.5 * (b + 1.0) * TS * np.sin(TS)) * amp
         assert np.max(np.abs(u - exact)) <= 1e-10
 
     def test_small_t_recovers_data(self):
-        prob = PolyWaveProblem(3, 1, plain_data([single(PW3)], [zero_field(3)]))
+        prob = PolyWaveProblem(3, 1, plain_data([single(PW3)]))
         phi0 = PW3.eval(X3[None, :])[0]
         e1, e2 = np.abs(polywave_solve_odd_many(X3, np.array([2e-2, 1e-2]),
                                                 prob, RULES) - phi0)
         assert e2 <= 0.3 * e1 + 1e-12  # O(t^2)
 
     def test_zero_data(self):
-        prob = PolyWaveProblem(3, 1, plain_data([zero_field(3)], [zero_field(3)]))
+        prob = PolyWaveProblem(3, 1, plain_data([zero_field(3)]))
         assert np.all(polywave_solve_odd_many(X3, TS, prob, RULES) == 0.0)
 
 
@@ -129,24 +119,16 @@ class TestEvenDimension:
 
     def test_phi_oracle(self):
         pw = PlaneWaveField(self.K2)
-        prob = PolyWaveProblem(2, 1, plain_data([single(pw)], [zero_field(2)]))
+        prob = PolyWaveProblem(2, 1, plain_data([single(pw)]))
         u = polywave_solve_even_many(self.X2, TS, prob, RULES)
         exact = np.cos(TS) * pw.eval(self.X2[None, :])[0]
-        assert np.max(np.abs(u - exact)) <= 1e-10
-
-    def test_psi_oracle(self):
-        pw = PlaneWaveField(self.K2)
-        prob = PolyWaveProblem(2, 1, plain_data([zero_field(2)], [single(pw)]))
-        u = polywave_solve_even_many(self.X2, TS, prob, RULES)
-        exact = np.sin(TS) * pw.eval(self.X2[None, :])[0]
         assert np.max(np.abs(u - exact)) <= 1e-10
 
     def test_iterated_mode_oracle(self):
         b = -0.4
         pw = PlaneWaveField(self.K2)
         f1 = single(pw, b + 1.0)
-        prob = PolyWaveProblem(2, 2, plain_data([single(pw), f1],
-                                                [zero_field(2), zero_field(2)]))
+        prob = PolyWaveProblem(2, 2, plain_data([single(pw), f1]))
         u = polywave_solve_even_many(self.X2, TS, prob, RULES)
         amp = pw.eval(self.X2[None, :])[0]
         exact = (np.cos(TS) + 0.5 * (b + 1.0) * TS * np.sin(TS)) * amp
@@ -155,30 +137,23 @@ class TestEvenDimension:
 
 class TestHigherDimensions:
     """The m = 2 single-mode oracle at n = 4, 5, where the outer operator
-    is (1/t d/dt)^2: Phi_0 = v, Phi_1 = b v (f-data) gives
-    U = [cos t + (b + 1) t sin(t)/2] v, and Psi_0 = v, Psi_1 = b v (g-data)
-    gives U = [(1 + (b + 1)/2) sin t - (b + 1) t cos(t)/2] v, |k| = 1."""
+    is (1/t d/dt)^2: Phi_0 = v, Phi_1 = b v gives
+    U = [cos t + (b + 1) t sin(t)/2] v, |k| = 1."""
 
     @pytest.mark.parametrize("n", [4, 5])
-    @pytest.mark.parametrize("family", ["f", "g"])
-    def test_iterated_mode_oracle(self, n, family):
+    def test_iterated_mode_oracle(self, n):
         rng = np.random.default_rng(n)
         k = rng.normal(size=n)
         pw = PlaneWaveField(k / np.linalg.norm(k))
         x = 0.4 * rng.normal(size=n)
         b = 0.7
-        data = [single(pw), single(pw, b + 1.0)]
-        zeros = [zero_field(n), zero_field(n)]
-        prob = PolyWaveProblem(n, 2, plain_data(data, zeros) if family == "f"
-                               else plain_data(zeros, data))
+        prob = PolyWaveProblem(n, 2, plain_data([single(pw),
+                                                 single(pw, b + 1.0)]))
         solver = polywave_solve_odd_many if n % 2 else polywave_solve_even_many
         u = solver(x, TS, prob, RULES)
         amp = pw.eval(x[None, :])[0]
         c = 0.5 * (b + 1.0)
-        if family == "f":
-            exact = (np.cos(TS) + c * TS * np.sin(TS)) * amp
-        else:
-            exact = ((1.0 + c) * np.sin(TS) - c * TS * np.cos(TS)) * amp
+        exact = (np.cos(TS) + c * TS * np.sin(TS)) * amp
         # the nested outer operator leaves ~2e-8 of float64 roundoff
         assert np.max(np.abs(u - exact)) <= 1e-6
 
@@ -242,7 +217,7 @@ class TestBallSeriesConstants:
 
 class TestResidualAndConditions:
     def test_residual_order_m1(self):
-        prob = PolyWaveProblem(3, 1, plain_data([single(PW3)], [zero_field(3)]))
+        prob = PolyWaveProblem(3, 1, plain_data([single(PW3)]))
         hs = (0.2, 0.1, 0.05)
         res = [wave_residual(prob, X3, 1.5, 1, h) for h in hs]
         order = np.polyfit(np.log(hs), np.log(res), 1)[0]
@@ -250,8 +225,7 @@ class TestResidualAndConditions:
 
     def test_residual_order_m2(self):
         f1 = single(PW3, 1.7)
-        prob = PolyWaveProblem(3, 2, plain_data([single(PW3), f1],
-                                                [zero_field(3), zero_field(3)]))
+        prob = PolyWaveProblem(3, 2, plain_data([single(PW3), f1]))
         hs = (0.2, 0.1, 0.05)
         res = [wave_residual(prob, X3, 1.5, 2, h) for h in hs]
         order = np.polyfit(np.log(hs), np.log(res), 1)[0]
@@ -261,8 +235,7 @@ class TestResidualAndConditions:
         # d^2 U/dt^2 at t->0 recovers Phi_1 for the two-level problem
         b = 0.7
         f1 = single(PW3, b + 1.0)
-        prob = PolyWaveProblem(3, 2, plain_data([single(PW3), f1],
-                                                [zero_field(3), zero_field(3)]))
+        prob = PolyWaveProblem(3, 2, plain_data([single(PW3), f1]))
         amp = PW3.eval(X3[None, :])[0]
         target = b * amp  # Phi_1
 
